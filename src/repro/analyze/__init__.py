@@ -34,7 +34,6 @@ from .memory_check import (MemoryCheckPass, MemoryTarget, MemoryVerdict,
                            check_strategy)
 from .opt_lints import OptimizerLintPass
 from .plan_lints import PlanLintPass
-from .serve_lints import ServeLintPass
 from .stream_check import StreamCheckPass
 from . import corpus
 
@@ -42,7 +41,7 @@ __all__ = [
     "Analyzer", "AnalysisReport", "Diagnostic", "Severity",
     "SourceLocation", "Baseline", "Suppression", "baseline_from_findings",
     "write_baseline", "PlanLintPass", "FusionCheckPass", "StreamCheckPass",
-    "IrLintPass", "ClusterLintPass", "OptimizerLintPass", "ServeLintPass",
+    "IrLintPass", "ClusterLintPass", "OptimizerLintPass",
     "MemoryCheckPass", "MemoryTarget", "MemoryVerdict", "check_strategy",
     "Interval", "Envelope", "plan_envelopes", "strategy_footprint",
     "REGISTRY", "CodeInfo", "registered", "registry_table",

@@ -268,11 +268,6 @@ _CODES: tuple[CodeInfo, ...] = (
     CodeInfo("OPT502", Severity.INFO,
              "host baseline beats every GPU option but a GPU strategy "
              "is forced"),
-    # serving-pool lints (serve_lints.py)
-    CodeInfo("SRV601", Severity.WARNING,
-             "tenant-shard skew: busiest worker >= 2x fair share"),
-    CodeInfo("SRV602", Severity.ERROR, "idempotency-key collision"),
-    CodeInfo("SRV603", Severity.ERROR, "dead-worker replay gap"),
     # memory safety (memory_check.py)
     CodeInfo("MEM701", Severity.ERROR,
              "certain OOM: peak lower bound exceeds the device budget "

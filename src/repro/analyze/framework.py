@@ -11,8 +11,6 @@
   (CLU4xx), after plan lints on the underlying plan
 * :class:`~repro.optimizer.StrategyTarget` -> optimizer lints (OPT5xx)
   on hand-forced strategy choices
-* :class:`~repro.workers.merge.PoolReport` -> serving-pool lints
-  (SRV6xx) on a closed worker pool's report
 * :class:`~repro.analyze.memory_check.MemoryTarget` -> memory-safety
   verdicts (MEM7xx) from interval abstract interpretation
 
@@ -42,13 +40,11 @@ from .ir_lints import IrLintPass
 from .memory_check import MemoryCheckPass, MemoryTarget
 from .opt_lints import OptimizerLintPass
 from .plan_lints import PlanLintPass
-from .serve_lints import ServeLintPass
 from .stream_check import StreamCheckPass
 
 #: analyzable target types, for error messages
 _TARGET_KINDS = ("Plan, DistributedPlan, StrategyTarget, MemoryTarget, "
-                 "FusionResult, SimStream(s), StreamPool, Program, or "
-                 "PoolReport")
+                 "FusionResult, SimStream(s), StreamPool, or Program")
 
 
 class Analyzer:
@@ -66,7 +62,6 @@ class Analyzer:
         self.ir_lints = IrLintPass()
         self.cluster_lints = ClusterLintPass()
         self.opt_lints = OptimizerLintPass(self.device, costs)
-        self.serve_lints = ServeLintPass()
         self.memory_check = MemoryCheckPass(self.device, costs)
 
     # -- dispatch --------------------------------------------------------
@@ -96,9 +91,6 @@ class Analyzer:
         elif isinstance(target, Program):
             diags = self.ir_lints.run(target)
             report.passes_run.append(self.ir_lints.name)
-        elif _is_pool_report(target):
-            diags = self.serve_lints.run(target)
-            report.passes_run.append(self.serve_lints.name)
         else:
             streams = _as_streams(target)
             if streams is None:
@@ -123,13 +115,6 @@ class Analyzer:
         if strict:
             merged.raise_if_errors()
         return merged
-
-
-def _is_pool_report(target: Any) -> bool:
-    """Lazy isinstance against :class:`repro.workers.merge.PoolReport`
-    (imported here to keep analyze importable without the pool)."""
-    from ..workers.merge import PoolReport
-    return isinstance(target, PoolReport)
 
 
 def _as_streams(target: Any) -> list[SimStream] | None:

@@ -251,56 +251,22 @@ def _cmd_serve(args) -> int:
                               seed=args.seed)
     trace = arrivals.trace()
     modes = (["batched", "isolated"] if args.mode == "both" else [args.mode])
-    if args.kill_worker is not None and args.workers < 2:
-        print("--kill-worker requires --workers > 1", file=sys.stderr)
-        return 2
     results = {}
-    pool_reports = {}
-    pool_failures = 0
     for mode in modes:
         cfg = ServeConfig(
             mode=mode, queue_capacity=args.queue_depth,
             max_batch=args.max_batch, max_streams=args.max_streams,
             check=args.validate, analyze=args.analyze,
             shed_unsafe=args.shed_unsafe, faults=args.chaos,
-            devices=args.devices, workers=args.workers,
-            worker_rebalance=args.rebalance, pool_seed=args.seed)
+            devices=args.devices)
         # each mode serves the identical offered trace
-        server = QueryServer(config=cfg, kill_worker=args.kill_worker)
+        server = QueryServer(config=cfg)
         results[mode] = server.run(trace=list(trace))
-        server.close()
         print(f"\n=== mode: {mode} "
               f"(qps {args.qps:g}, {args.duration:g} s offered, "
               f"seed {args.seed})" + (" [chaos]" if args.chaos else "")
-              + (f" [{args.workers} workers]" if args.workers > 1 else "")
               + " ===")
         print(results[mode].metrics.render())
-        if server.pool is not None:
-            from .analyze import Analyzer
-            from .validate import validate_pool
-            from .workers import build_pool_report
-            vr = validate_pool(server.pool)
-            report = build_pool_report(results[mode].metrics, server.pool,
-                                       cfg)
-            pool_reports[mode] = report.to_json()
-            stats = server.backend_stats
-            print(f"pool: {stats['pool.kills']} kill(s), "
-                  f"{stats['pool.respawns']} respawn(s), "
-                  f"outbox {stats['outbox.recorded']} recorded / "
-                  f"{stats['outbox.hits']} duplicate hit(s) / "
-                  f"{stats['outbox.replays']} replay(s); "
-                  f"merged metrics identical: {report.identical}")
-            findings = Analyzer().run(report).diagnostics
-            for d in findings:
-                print(f"  {d}")
-            if not vr.ok:
-                pool_failures += len(vr.violations)
-                for v in vr.violations:
-                    print(f"  pool sanitizer: {v}", file=sys.stderr)
-            if not report.identical:
-                pool_failures += 1
-                print("  pool: merged worker metrics differ from the "
-                      "master summary", file=sys.stderr)
     if len(results) == 2:
         b, i = results["batched"].metrics, results["isolated"].metrics
         print(f"\nbatched vs isolated: goodput {b.goodput_qps:.2f} vs "
@@ -318,22 +284,11 @@ def _cmd_serve(args) -> int:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"\nwrote metrics summary to {args.summary}")
-    if args.pool_report:
-        if not pool_reports:
-            print("--pool-report requires --workers > 1", file=sys.stderr)
-            return 2
-        with open(args.pool_report, "w") as f:
-            json.dump(pool_reports, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote pool report to {args.pool_report}")
     if args.trace_output:
         res = results[modes[0]]
         write_chrome_trace(res.merged_timeline(), args.trace_output,
                            process_name=f"serve.{modes[0]}")
         print(f"wrote serve trace to {args.trace_output}")
-    if pool_failures:
-        print(f"worker pool: {pool_failures} failure(s)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -524,24 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="device lanes sharing the host (batches are "
                             "routed to the lane with the least outstanding "
                             "bytes; see docs/CLUSTER.md)")
-    p_srv.add_argument("--workers", type=int, default=1,
-                       help="warm worker processes simulating dispatches "
-                            "(docs/SERVING.md, 'Worker pools'); summaries "
-                            "are byte-identical across worker counts at "
-                            "the same seed")
-    p_srv.add_argument("--rebalance", choices=["hash", "least-bytes"],
-                       default="hash",
-                       help="tenant->worker routing: stable hash, or "
-                            "epoch-pinned least-outstanding-bytes")
-    p_srv.add_argument("--kill-worker", type=int, default=None,
-                       metavar="W",
-                       help="deterministically SIGKILL worker W once "
-                            "mid-run (crash-recovery drill; requires "
-                            "--workers > 1)")
-    p_srv.add_argument("--pool-report", metavar="PATH", default=None,
-                       help="write the worker-pool report (shard "
-                            "balance, outbox conservation, respawns, "
-                            "merged per-worker metrics) as JSON")
 
     p_cl = sub.add_parser(
         "cluster", help="run a TPC-H query sharded over N simulated "

@@ -85,12 +85,6 @@ class FaultInjector:
         """Does the device probed at `site` (``device.<k>...``) drop out?"""
         return self.fire(FaultKind.DEVICE_LOSS, site)
 
-    def worker_kill(self, site: str) -> bool:
-        """Is the serving worker probed at `site` (``worker.<k>``) killed
-        before this dispatch?  Consumed by the worker pool, one probe per
-        routed dispatch -- replays of outbox entries are not re-probed."""
-        return self.fire(FaultKind.WORKER_KILL, site)
-
     # -- recovery bookkeeping ----------------------------------------------
     def note_retry(self, site: str) -> None:
         self.retries += 1

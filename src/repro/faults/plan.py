@@ -42,13 +42,6 @@ class FaultKind(enum.Enum):
     #: error); not retryable in place -- the cluster layer re-executes the
     #: lost device's shards on a surviving device (docs/CLUSTER.md)
     DEVICE_LOSS = "device_loss"
-    #: a serving worker process is killed mid-run (OOM-killer / segfault
-    #: stand-in); the pool detects the dead worker, re-spawns it warm, and
-    #: replays its unacknowledged outbox entries (docs/SERVING.md).  Probed
-    #: at ``worker.<k>`` sites by the pool's own injector, never by the
-    #: simulation engines, so it changes process lifecycle -- not simulated
-    #: results
-    WORKER_KILL = "worker_kill"
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,7 @@ class PlanCache:
 
     **Ownership: process-private.**  The cache is plain in-process state --
     no locks, no shared memory -- so it must never be shared across
-    processes.  The worker pool (docs/SERVING.md) gives every worker its
-    own copy: counters and LRU eviction order then evolve independently
-    per worker, which is correct (each worker sees only its shard's
-    traffic) but means pooled hit-rates must be combined with
-    :meth:`merge_stats`, never by summing or averaging the per-worker
-    ``cache.hit_rate`` ratios (a 99%-hit worker with 10 lookups would
-    swamp a 50%-hit worker with 10,000).
+    processes.
     """
 
     def __init__(self, capacity: int = 256):
@@ -125,28 +119,6 @@ class PlanCache:
             "cache.corruptions": self.corruptions,
             "cache.hit_rate": round(self.hit_rate, 6),
         }
-
-    @classmethod
-    def merge_stats(cls, parts: "list[dict]") -> dict:
-        """Combine per-process ``stats()`` snapshots into one pooled view.
-
-        Counts sum; ``cache.capacity`` sums too (the pool's total entry
-        budget); ``cache.hit_rate`` is recomputed from the summed hit and
-        miss counts, which weights every lookup equally regardless of
-        which worker served it.
-        """
-        out = {
-            "cache.size": 0, "cache.capacity": 0, "cache.hits": 0,
-            "cache.misses": 0, "cache.evictions": 0,
-            "cache.invalidations": 0, "cache.corruptions": 0,
-        }
-        for part in parts:
-            for key in out:
-                out[key] += part.get(key, 0)
-        total = out["cache.hits"] + out["cache.misses"]
-        out["cache.hit_rate"] = round(
-            out["cache.hits"] / total if total else 0.0, 6)
-        return out
 
     # test hook: deliberately corrupt an entry's stored value in place so
     # the checksum no longer matches (simulates storage rot)

@@ -2,21 +2,16 @@
 
 The serving loops in :mod:`repro.serve.server` decide *what* to dispatch
 and *when*; this module owns *how* a formed batch turns into a simulated
-timeline.  The split matters for the worker-pool backend
-(:mod:`repro.workers`): a dispatch outcome is a pure function of
+timeline.  A dispatch outcome is a pure function of
 
     (batch plans + row stats, batch index, serve config, lane device)
 
-with no dependence on serve-loop history -- the content-addressed serve
-plan cache (PR 7) replays cached outcomes regardless of what ran before,
-and CI gates that replay byte-identical.  Purity is what lets any worker
-process simulate any dispatch and return exactly the bytes the in-process
-path would have produced.
+with no dependence on serve-loop history: the content-addressed serve
+plan cache replays cached outcomes regardless of what ran before, and CI
+gates that replay byte-identical.
 
-:class:`DispatchEngine` carries the per-process simulation state (lane
-device spec, per-lane WorkloadSchedulers and Stream Pools, the
-process-private plan cache); :func:`simulate_dispatch` is the pure entry
-point workers and the in-process server share.
+:class:`DispatchEngine` carries the simulation state (lane device spec,
+per-lane WorkloadSchedulers and Stream Pools, the plan cache).
 """
 
 from __future__ import annotations
@@ -38,29 +33,19 @@ DispatchOutcome = tuple[float, Timeline, bool, int, int]
 
 @dataclass(frozen=True)
 class DispatchRequest:
-    """One formed batch awaiting simulation: the unit the serve loop hands
-    to a dispatch backend (in-process engine or worker pool)."""
+    """One formed batch awaiting simulation on device lane ``lane``."""
 
     batch: tuple[QueryRequest, ...]
     batch_idx: int
     lane: int = 0
 
-    @property
-    def tenant(self) -> str:
-        """Routing tenant: the batch head's tenant (the batch scheduler
-        pops the head first, so this is stable for a given queue state)."""
-        return self.batch[0].tenant
-
 
 class DispatchEngine:
-    """Simulates dispatches on one process's copy of the device lanes.
+    """Simulates dispatches on the server's device lanes.
 
     Owns everything a dispatch needs and nothing the serve loop needs:
     the (possibly host-contended) lane device, one WorkloadScheduler and
-    Stream Pool per lane, and the optional plan cache.  The cache is
-    **process-private** (see :class:`repro.optimizer.plancache.PlanCache`):
-    worker processes each hold their own copy, and pooled hit-rates must
-    be combined with ``PlanCache.merge_stats``, never by summing ratios.
+    Stream Pool per lane, and the optional plan cache.
     """
 
     def __init__(self, device: DeviceSpec, config) -> None:
@@ -183,55 +168,15 @@ class DispatchEngine:
             faults_seen += r.faults_injected
         return timeline.end_time, timeline, True, faults_seen, warnings
 
-    # -- backend interface -------------------------------------------------
     def execute_round(self, assignments: list[DispatchRequest],
                       epoch: int) -> list[DispatchOutcome]:
         """Simulate one scheduling round's batches, in assignment order.
 
-        The in-process backend runs them sequentially; the worker pool
-        overrides this to fan the round out across processes.  Either way
-        the outcomes come back in assignment order and the serve loop
-        applies bookkeeping identically, which is what keeps pooled and
-        in-process summaries byte-identical.
+        ``epoch`` numbers the serve loop's scheduling rounds; the
+        simulation itself does not depend on it.
         """
-        return [simulate_dispatch(self, a) for a in assignments]
-
-    def acknowledge(self, batch_idx: int, t_end: float, order: int,
-                    completions: list[tuple[str, float, bool]]) -> None:
-        """Completion callback (no-op in process; the pool uses it to ack
-        outbox entries and ship per-worker completion records)."""
-
-    def close(self) -> dict:
-        """Release backend resources; returns backend stats (empty here)."""
-        return {}
+        return [self.dispatch(list(a.batch), a.batch_idx, a.lane)
+                for a in assignments]
 
 
-def batch_fingerprint(batch: "list[QueryRequest] | tuple[QueryRequest, ...]"
-                      ) -> str:
-    """Content hash of a batch's query plans and row stats, independent of
-    serve knobs: the ``query_fingerprint`` component of the worker pool's
-    idempotent dispatch key (docs/SERVING.md)."""
-    from ..optimizer.fingerprint import digest, plan_fingerprint
-    return digest(tuple(
-        (plan_fingerprint(r.plan()),
-         tuple(sorted(r.source_rows().items())))
-        for r in batch))
-
-
-def simulate_dispatch(engine: DispatchEngine,
-                      request: DispatchRequest) -> DispatchOutcome:
-    """Simulate one dispatch: the pure function both backends share.
-
-    Given the same ``DispatchRequest`` and an equivalently-configured
-    engine (same config, same device calibration), this returns the same
-    outcome in any process -- the determinism contract the worker pool's
-    idempotent replay relies on (docs/SERVING.md).
-    """
-    return engine.dispatch(list(request.batch), request.batch_idx,
-                           request.lane)
-
-
-__all__ = [
-    "DispatchEngine", "DispatchOutcome", "DispatchRequest",
-    "batch_fingerprint", "simulate_dispatch",
-]
+__all__ = ["DispatchEngine", "DispatchOutcome", "DispatchRequest"]

@@ -82,31 +82,14 @@ class ServeConfig:
     #: content-addressed dispatch cache
     #: (:class:`repro.optimizer.plancache.PlanCache`): a repeat batch --
     #: same plans, same stats, same platform -- skips planning, analysis,
-    #: and simulation entirely and replays the priced result.  The cache
-    #: is process-private: with ``workers > 1`` each worker holds its own
-    #: copy (pooled hit-rates merge via ``PlanCache.merge_stats``)
+    #: and simulation entirely and replays the priced result
     plan_cache: object | None = None
-    #: warm worker processes simulating dispatches (docs/SERVING.md,
-    #: "Worker pools"); 1 = simulate in-process.  The pool changes *where*
-    #: dispatches are simulated, never *what* they compute: summaries are
-    #: byte-identical across worker counts at the same seed
-    workers: int = 1
-    #: tenant->worker routing: "hash" (stable blake2b of the tenant id) or
-    #: "least-bytes" (epoch-pinned least-outstanding-bytes rebalancing)
-    worker_rebalance: str = "hash"
-    #: seed component of the pool's idempotent dispatch keys
-    pool_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("batched", "isolated"):
             raise ValueError(f"unknown serve mode {self.mode!r}")
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_rebalance not in ("hash", "least-bytes"):
-            raise ValueError(
-                f"unknown worker_rebalance {self.worker_rebalance!r}")
 
 
 @dataclass
@@ -159,35 +142,19 @@ class QueryServer:
     """Serves an arrival trace on the simulated device."""
 
     def __init__(self, device: DeviceSpec | None = None,
-                 config: ServeConfig = ServeConfig(),
-                 kill_worker: int | None = None):
+                 config: ServeConfig = ServeConfig()):
         self.device = device or DeviceSpec()
         self.config = config
         self.engine = DispatchEngine(self.device, config)
-        if config.workers > 1:
-            from ..workers import WorkerPool
-            self._backend = WorkerPool(self.device, config,
-                                       kill_worker=kill_worker)
-        else:
-            self._backend = self.engine
-        #: stats returned by the backend at close (worker-pool report
-        #: material; empty for the in-process backend)
-        self.backend_stats: dict = {}
 
     @property
     def lane_device(self) -> DeviceSpec:
         return self.engine.lane_device
 
-    @property
-    def pool(self):
-        """The WorkerPool backend, or None for in-process serving."""
-        return self._backend if self._backend is not self.engine else None
-
-    def close(self) -> dict:
-        """Shut the dispatch backend down (terminates pool workers) and
-        return its final stats."""
-        self.backend_stats = self._backend.close()
-        return self.backend_stats
+    def close(self) -> None:
+        """Release serving resources.  The in-process engine holds none
+        beyond ordinary memory, so this is a no-op kept for callers that
+        close every server they build."""
 
     # ------------------------------------------------------------------
     def run(self, trace: list[QueryRequest] | None = None,
@@ -271,7 +238,7 @@ class QueryServer:
             assignment = DispatchRequest(tuple(batch), batch_idx, 0)
             epoch += 1
             (makespan, timeline, degraded, faults_seen, warnings), = \
-                self._backend.execute_round([assignment], epoch)
+                self.engine.execute_round([assignment], epoch)
             segments.append((now, timeline))
             metrics.batches += 1
             metrics.batch_sizes.append(len(batch))
@@ -282,15 +249,12 @@ class QueryServer:
             admission.note_service(len(batch), makespan)
 
             t_end = now + makespan
-            completions: list[tuple[str, float, bool]] = []
             for req in batch:
                 ok = t_end <= req.deadline_s
                 metrics.record_completion(req.tenant, t_end - req.arrival_s, ok)
                 records.append(RequestRecord(
                     req, "completed" if ok else "missed_deadline", t_end))
-                completions.append((req.tenant, t_end - req.arrival_s, ok))
                 respond(req, t_end)
-            self._backend.acknowledge(batch_idx, t_end, batch_idx, completions)
             now = t_end
             batch_idx += 1
 
@@ -358,11 +322,9 @@ class QueryServer:
                     records.append(RequestRecord(req, "shed_backpressure"))
                     respond(req, req.arrival_s)
             while inflight and inflight[0][0] <= now:
-                t_end, order, dev, batch, nbytes, bidx = \
-                    heapq.heappop(inflight)
+                t_end, _, dev, batch, nbytes = heapq.heappop(inflight)
                 outstanding[dev] -= nbytes
                 last_end = max(last_end, t_end)
-                completions: list[tuple[str, float, bool]] = []
                 for req in batch:
                     ok = t_end <= req.deadline_s
                     metrics.record_completion(
@@ -370,9 +332,7 @@ class QueryServer:
                     records.append(RequestRecord(
                         req, "completed" if ok else "missed_deadline",
                         t_end))
-                    completions.append((req.tenant, t_end - req.arrival_s, ok))
                     respond(req, t_end)
-                self._backend.acknowledge(bidx, t_end, order, completions)
             for req in queue.drop_expired(now):
                 metrics.shed_expired += 1
                 records.append(RequestRecord(req, "shed_expired"))
@@ -381,8 +341,7 @@ class QueryServer:
             # form the whole round before executing it: routing below only
             # depends on pre-round lane state (a routed lane leaves `idle`,
             # and `outstanding`/`note_service` updates cannot influence the
-            # same round), so deferring execution is outcome-identical and
-            # lets the worker-pool backend fan a round out across processes
+            # same round), so deferring execution is outcome-identical
             idle = [dev for dev in range(cfg.devices)
                     if busy_until[dev] <= now]
             assignments: list[DispatchRequest] = []
@@ -412,7 +371,7 @@ class QueryServer:
                 batch_idx += 1
             if assignments:
                 epoch += 1
-                outcomes = self._backend.execute_round(assignments, epoch)
+                outcomes = self.engine.execute_round(assignments, epoch)
                 for a, (makespan, timeline, degraded, faults_seen,
                         warnings) in zip(assignments, outcomes):
                     dev = a.lane
@@ -439,9 +398,7 @@ class QueryServer:
                     t_end = now + makespan
                     busy_until[dev] = t_end
                     outstanding[dev] += nbytes
-                    heapq.heappush(
-                        inflight,
-                        (t_end, seq, dev, batch, nbytes, a.batch_idx))
+                    heapq.heappush(inflight, (t_end, seq, dev, batch, nbytes))
                     seq += 1
                 continue
 
@@ -482,21 +439,3 @@ class QueryServer:
                 self.lane_device, memory_safety=self.config.memory_safety)
             memo[key] = verdict.certain_oom
         return memo[key]
-
-    # ------------------------------------------------------------------
-    # thin delegates: dispatch simulation lives in
-    # :class:`repro.serve.dispatch.DispatchEngine` so worker processes can
-    # own an identical engine without importing the serve loop's state
-    def _dispatch(self, batch: list[QueryRequest], batch_idx: int,
-                  lane: int = 0) -> tuple[float, Timeline, bool, int, int]:
-        return self.engine.dispatch(batch, batch_idx, lane)
-
-    def _dispatch_key(self, batch: list[QueryRequest],
-                      fault_plan: FaultPlan | None) -> str:
-        return self.engine.dispatch_key(batch, fault_plan)
-
-    def _dispatch_degraded(self, batch: list[QueryRequest],
-                           fault_plan: FaultPlan | None,
-                           warnings: int = 0
-                           ) -> tuple[float, Timeline, bool, int, int]:
-        return self.engine.dispatch_degraded(batch, fault_plan, warnings)

@@ -65,7 +65,7 @@ class Command:
     """Base simulated command.  The whole hierarchy is slotted: serve-scale
     DES runs enqueue hundreds of thousands of commands, and per-command
     ``__dict__`` allocation dominated the hot loop before slotting
-    (BENCH_workers.json tracks the resulting events/sec)."""
+    (BENCH_devices.json tracks the resulting events/sec)."""
 
     tag: str = ""
     thunk: Thunk | None = None

@@ -24,7 +24,7 @@ class EventKind(enum.Enum):
 class TimelineEvent:
     """One simulated interval.  Slotted: serve-scale runs log hundreds of
     thousands of these, and a per-event ``__dict__`` was the single
-    biggest allocation churn in the DES hot loop (BENCH_workers.json
+    biggest allocation churn in the DES hot loop (BENCH_devices.json
     tracks the resulting events/sec)."""
 
     start: float

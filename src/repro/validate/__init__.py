@@ -5,7 +5,6 @@ See :mod:`repro.validate.sanitizer` for the invariants checked and
 """
 
 from .cluster import validate_cluster
-from .workers import validate_pool
 from .sanitizer import (
     BYTE_ABS_TOL,
     BYTE_REL_TOL,
@@ -20,5 +19,5 @@ from .sanitizer import (
 __all__ = [
     "BYTE_ABS_TOL", "BYTE_REL_TOL", "EXCLUSIVE_ENGINES", "TIME_EPS",
     "ValidationReport", "Violation", "validate_run", "validate_timeline",
-    "validate_cluster", "validate_pool",
+    "validate_cluster",
 ]

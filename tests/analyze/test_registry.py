@@ -40,7 +40,7 @@ class TestRegistry:
         an = Analyzer()
         passes = [an.plan_lints, an.fusion_check, an.stream_check,
                   an.ir_lints, an.cluster_lints, an.opt_lints,
-                  an.serve_lints, an.memory_check]
+                  an.memory_check]
         declared = set()
         for p in passes:
             assert p.codes, p.name

@@ -10,8 +10,6 @@ byte-identical decision rather than serving stale or damaged state.
 import dataclasses
 import json
 
-import pytest
-
 from repro.optimizer import Optimizer, PlanCache, calibration_fingerprint
 from repro.runtime.select_chain import select_chain_plan
 from repro.simgpu import DeviceSpec
@@ -130,37 +128,3 @@ class TestCompiledArtifactCache:
         assert cache.hits > hits_before
         assert a.makespan == b.makespan
 
-
-class TestMergeStats:
-    """Pooled hit-rate accounting (docs/SERVING.md: worker caches are
-    process-private; rates must merge by counts, not by ratio)."""
-
-    def _stats(self, hits, misses, size=0, capacity=256):
-        cache = PlanCache(capacity=capacity)
-        cache.hits, cache.misses = hits, misses
-        for i in range(size):
-            cache.put(f"k{i}", i)
-        return cache.stats()
-
-    def test_counts_sum_and_rate_recomputes(self):
-        merged = PlanCache.merge_stats([
-            self._stats(99, 1),        # 99% on 100 lookups
-            self._stats(5_000, 5_000),  # 50% on 10,000 lookups
-        ])
-        assert merged["cache.hits"] == 5_099
-        assert merged["cache.misses"] == 5_001
-        # lookup-weighted, NOT the 74.5% a ratio average would claim
-        assert merged["cache.hit_rate"] == pytest.approx(0.504852, abs=1e-6)
-        assert merged["cache.capacity"] == 512
-
-    def test_empty_parts(self):
-        merged = PlanCache.merge_stats([])
-        assert merged["cache.hit_rate"] == 0.0
-        assert merged["cache.hits"] == 0
-
-    def test_merge_matches_single_cache_semantics(self):
-        whole = self._stats(30, 10)
-        split = PlanCache.merge_stats([self._stats(20, 5),
-                                       self._stats(10, 5)])
-        for key in ("cache.hits", "cache.misses", "cache.hit_rate"):
-            assert split[key] == whole[key]
