@@ -12,7 +12,7 @@ import numpy as np
 from repro.bench import format_table, print_header
 from repro.plans import Plan
 from repro.ra import Field, Relation
-from repro.runtime import GpuRuntime
+from repro.runtime import ExecutionConfig, GpuRuntime, Strategy
 
 
 def _chain_plan():
@@ -33,10 +33,11 @@ def _measure():
     rows = []
     for factor in (4.0, 1.6, 1.3, 1.1):
         limit = int(rel.nbytes * factor)
+        rt = GpuRuntime(memory_limit=limit)
         per = {}
-        for fuse in (False, True):
-            r = GpuRuntime(fuse=fuse, memory_limit=limit).run(plan, {"t": rel})
-            per[fuse] = r
+        for fuse, strategy in ((False, Strategy.SERIAL),
+                               (True, Strategy.FUSED)):
+            per[fuse] = rt.run(plan, {"t": rel}, ExecutionConfig(strategy))
         rows.append([
             f"{factor:.1f}x input",
             per[False].spill_count, per[True].spill_count,

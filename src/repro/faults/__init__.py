@@ -4,19 +4,16 @@ platform (see docs/FAULTS.md).
 The split mirrors the sanitizer's: :mod:`repro.validate` proves a schedule
 *valid*, this package makes schedules *go wrong on purpose* -- transient
 transfer/launch failures, stream stalls, spurious OOM, host slowdowns --
-and supplies the retry/degradation machinery the engine and runtimes use to
-repair them.  Everything is seeded and budgeted, so chaos runs are exactly
-reproducible.
+and supplies the retry machinery the engine uses to repair them.  The
+runtimes' fallback order lives with the strategies it walks
+(:func:`repro.runtime.strategies.degradation_ladder`).  Everything is
+seeded and budgeted, so chaos runs are exactly reproducible.
 """
 
-from .injector import FaultInjector, InjectedFault, as_injector
+from .injector import FaultInjector, InjectedFault, as_injector, spurious_oom
 from .plan import ALL_KINDS, FaultKind, FaultPlan, RetryPolicy, parse_chaos
-from .recovery import (CLUSTER_DEGRADATION_ORDER, DEGRADATION_ORDER, LADDERS,
-                       ladder_for, spurious_oom)
 
 __all__ = [
     "FaultKind", "FaultPlan", "RetryPolicy", "ALL_KINDS", "parse_chaos",
-    "FaultInjector", "InjectedFault", "as_injector",
-    "DEGRADATION_ORDER", "CLUSTER_DEGRADATION_ORDER", "LADDERS",
-    "ladder_for", "spurious_oom",
+    "FaultInjector", "InjectedFault", "as_injector", "spurious_oom",
 ]

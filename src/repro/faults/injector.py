@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..errors import DeviceOOMError
 from .plan import FaultKind, FaultPlan
 
 
@@ -124,3 +125,20 @@ def as_injector(faults: "FaultPlan | FaultInjector | None") -> FaultInjector | N
     if isinstance(faults, FaultInjector):
         return faults
     return FaultInjector(faults)
+
+
+def spurious_oom(injector: FaultInjector | None, site: str,
+                 capacity: int) -> None:
+    """Raise an injected :class:`DeviceOOMError` at `site` when the plan
+    says so -- but only on a *repeated* hit: the first draw models a
+    transient allocator hiccup that a single retry absorbs.
+    """
+    if injector is None:
+        return
+    if injector.oom(site):
+        injector.note_retry(site)
+        if injector.oom(site):
+            err = DeviceOOMError(capacity, 0, capacity)
+            err.injected = True
+            err.site = site
+            raise err

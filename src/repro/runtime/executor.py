@@ -25,7 +25,7 @@ from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import chain_for_node, chain_for_region, out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time
-from ..errors import DeviceOOMError, FaultError, PlanError
+from ..errors import DeviceOOMError, PlanError
 from ..faults import FaultInjector, FaultPlan, as_injector, spurious_oom
 from ..plans.plan import OpType, Plan, PlanNode
 from ..simgpu.device import DeviceSpec
@@ -33,7 +33,7 @@ from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from .sizes import estimate_sizes
-from .strategies import ExecutionConfig, Strategy
+from .strategies import CPUBASE, ExecutionConfig, Strategy, run_degrading
 
 
 @dataclass
@@ -199,35 +199,20 @@ class Executor:
                 self._analyzer().run(plan, strict=True))
             self._memory_preflight(plan, source_rows, config)
         injector = as_injector(self.faults)
-        degrade = self.degrade if self.degrade is not None else injector is not None
-        steps = (self._strategy_ladder(config.strategy) if degrade
-                 else [config.strategy])
-        last_err: Exception | None = None
-        for step in steps:
-            try:
-                result = self._run_once(plan, source_rows, config, step,
-                                        injector)
-            except (DeviceOOMError, FaultError) as err:
-                last_err = err
-                continue
-            if step is not config.strategy:
-                result.degraded_to = step if isinstance(step, str) else step.value
-            if injector is not None:
-                result.faults_injected = injector.faults_injected
-                result.retries = injector.retries
-                result.reissues = injector.reissues
-            if self.check:
-                from ..validate import validate_run
-                validate_run(result, self.device).raise_if_failed()
-            if self.analyze and self._analysis_reports:
-                from ..analyze import AnalysisReport
-                merged = AnalysisReport()
-                for rep in self._analysis_reports:
-                    merged.merge(rep)
-                result.analysis = merged.summary()
-            return result
-        assert last_err is not None
-        raise last_err
+        result = run_degrading(
+            lambda rung: self._run_once(plan, source_rows, config, rung,
+                                        injector),
+            config.strategy, injector, self.degrade)
+        if self.check:
+            from ..validate import validate_run
+            validate_run(result, self.device).raise_if_failed()
+        if self.analyze and self._analysis_reports:
+            from ..analyze import AnalysisReport
+            merged = AnalysisReport()
+            for rep in self._analysis_reports:
+                merged.merge(rep)
+            result.analysis = merged.summary()
+        return result
 
     def _memory_preflight(self, plan: Plan,
                           source_rows: dict[str, int] | None,
@@ -249,27 +234,13 @@ class Executor:
         self._analysis_reports.append(
             self._analyzer().run(target, strict=True))
 
-    @staticmethod
-    def _strategy_ladder(strategy: Strategy) -> list:
-        """Fallback chain under repeated faults: pipelined strategies retreat
-        to serial resident execution, then to forced round trips (minimal
-        device footprint), then to the host baseline, which cannot fault."""
-        ladder: list = [strategy]
-        if strategy.uses_fission:
-            ladder.append(Strategy.FUSED if strategy.uses_fusion
-                          else Strategy.SERIAL)
-        if strategy is not Strategy.WITH_ROUND_TRIP:
-            ladder.append(Strategy.WITH_ROUND_TRIP)
-        ladder.append("cpubase")
-        return ladder
-
     def _run_once(self, plan: Plan, source_rows: dict[str, int] | None,
-                  config: ExecutionConfig, step,
+                  config: ExecutionConfig, rung,
                   injector: FaultInjector | None) -> RunResult:
-        if step == "cpubase":
+        if rung == CPUBASE:
             return self._run_cpubase(plan, source_rows, config)
-        config = config if step is config.strategy else replace(
-            config, strategy=step)
+        config = config if rung is config.strategy else replace(
+            config, strategy=rung)
         if injector is not None:
             # a spurious allocator failure here models the device refusing
             # the strategy's working set outright

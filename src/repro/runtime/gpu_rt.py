@@ -27,9 +27,8 @@ from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import chain_for_node, chain_for_region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time
-from ..errors import DeviceOOMError, FaultError, PlanError
-from ..faults import (FaultInjector, FaultPlan, as_injector, ladder_for,
-                      spurious_oom)
+from ..errors import DeviceOOMError, PlanError
+from ..faults import FaultInjector, FaultPlan, as_injector, spurious_oom
 from ..plans.interp import _eval_node, evaluate
 from ..plans.plan import OpType, Plan, PlanNode
 from ..ra.relation import Relation
@@ -40,6 +39,7 @@ from ..simgpu.memory import DeviceMemory
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from ..streampool.pool import StreamPool
+from .strategies import CPUBASE, ExecutionConfig, Strategy, run_degrading
 
 #: operators whose rows are independent of one another given their side
 #: inputs, so a chain of them can stream segment-by-segment (fission)
@@ -84,9 +84,10 @@ class FunctionalRunResult:
     fusion: FusionResult
     spill_count: int
     peak_device_bytes: int
-    #: execution mode that actually produced the answers, and -- when the
-    #: fault-degradation ladder had to step down -- where it landed
-    mode: str = "resident"
+    #: as in :class:`~repro.runtime.executor.RunResult`: the strategy run,
+    #: and -- when the degradation ladder had to step down -- the rung it
+    #: landed on (a strategy value, or ``"cpubase"``)
+    strategy: Strategy = Strategy.FUSED
     degraded_to: str | None = None
     #: injector counters (zero when fault injection is off)
     faults_injected: int = 0
@@ -105,104 +106,99 @@ class FunctionalRunResult:
 class GpuRuntime:
     """Executes plans functionally on the simulated device.
 
+    :meth:`run` takes the same :class:`ExecutionConfig` as
+    :meth:`Executor.run <repro.runtime.executor.Executor.run>`.  Each
+    strategy maps onto a functional schedule: ``SERIAL``/``FUSED`` keep
+    intermediates resident, ``FISSION``/``FUSED_FISSION`` stream segments
+    over pooled streams, and ``WITH_ROUND_TRIP`` stages every intermediate
+    back to the host, unfused.  All strategies produce identical tuples;
+    only the simulated schedule differs.  ``config.memory`` stages every
+    transfer, spills included; ``roundtrip_memory`` and ``memory_safety``
+    are the timing executor's alone.
+
     Parameters
     ----------
     device:
         The simulated GPU (its ``global_mem_bytes`` bounds residency).
-    fuse:
-        Apply the fusion pass before execution.
     memory_limit:
         Override the device-memory budget (for memory-pressure studies).
-    mode:
-        Execution mode: ``resident`` (default; intermediates stay on
-        device), ``fission`` (segmented pipeline over pooled streams),
-        ``compressed`` (sources upload compressed + decompress kernel),
-        ``chunked`` (every intermediate eagerly staged to the host) or
-        ``cpubase`` (host interpreter).  All modes produce identical
-        tuples; only the simulated schedule differs.
     faults:
         A :class:`~repro.faults.FaultPlan` (or shared injector) the
         simulated engine honors; see docs/FAULTS.md.
     degrade:
-        Fall back down the mode ladder (see
-        :data:`repro.faults.LADDERS`) when repeated OOM / exhausted
-        retries defeat the current mode.  ``None`` = degrade iff fault
-        injection is enabled.
+        Fall back down :func:`~repro.runtime.strategies.degradation_ladder`
+        when repeated OOM / exhausted retries defeat the current strategy.
+        ``None`` = degrade iff fault injection is enabled.
+    compression:
+        Sources upload compressed (plus a decompress kernel) on the
+        non-fission strategies whenever the scheme's ratio exceeds 1;
+        fission streams uncompressed segments.
     """
 
-    def __init__(self, device: DeviceSpec | None = None, fuse: bool = True,
+    def __init__(self, device: DeviceSpec | None = None,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
                  cost_model: FusionCostModel | None = None,
                  memory_limit: int | None = None,
-                 host_memory: HostMemory = HostMemory.PINNED,
-                 mode: str = "resident",
                  faults: "FaultPlan | FaultInjector | None" = None,
                  degrade: bool | None = None,
-                 compression: CompressionScheme = NONE,
-                 fission: FissionConfig = FissionConfig()):
+                 compression: CompressionScheme = NONE):
         self.device = device or DeviceSpec()
-        self.fuse = fuse
         self.costs = costs
         self.cost_model = cost_model
         self.memory = DeviceMemory(
             capacity=memory_limit if memory_limit is not None
             else self.device.global_mem_bytes)
-        self.host_memory = host_memory
-        ladder_for(mode)  # validates the name
-        self.mode = mode
         self.faults = faults
         self.degrade = degrade
         self.compression = compression
-        self.fission = fission
 
     # ------------------------------------------------------------------
-    def run(self, plan: Plan, sources: dict[str, Relation]
+    def run(self, plan: Plan, sources: dict[str, Relation],
+            config: ExecutionConfig = ExecutionConfig(strategy=Strategy.FUSED)
             ) -> FunctionalRunResult:
+        if not config.include_transfers:
+            raise ValueError("GpuRuntime moves real data: "
+                             "include_transfers=False is Executor-only")
         plan.validate()
         injector = as_injector(self.faults)
-        degrade = self.degrade if self.degrade is not None else injector is not None
-        modes = ladder_for(self.mode) if degrade else (self.mode,)
-        last_err: Exception | None = None
-        for mode in modes:
-            try:
-                result = self._run_mode(mode, plan, sources, injector)
-            except (DeviceOOMError, FaultError) as err:
-                last_err = err
-                continue
-            result.mode = mode
-            if mode != self.mode:
-                result.degraded_to = mode
-            if injector is not None:
-                result.faults_injected = injector.faults_injected
-                result.retries = injector.retries
-                result.reissues = injector.reissues
-            return result
-        assert last_err is not None
-        raise last_err
+        return run_degrading(
+            lambda rung: self._run_rung(rung, plan, sources, config,
+                                        injector),
+            config.strategy, injector, self.degrade)
 
-    def _run_mode(self, mode: str, plan: Plan, sources: dict[str, Relation],
-                  injector: FaultInjector | None) -> FunctionalRunResult:
-        if mode == "resident":
-            return self._run_resident(plan, sources, injector)
-        if mode == "chunked":
-            return self._run_resident(plan, sources, injector,
-                                      eager_spill=True)
-        if mode == "compressed":
-            return self._run_resident(plan, sources, injector,
-                                      compressed=True)
-        if mode == "fission":
-            return self._run_fission(plan, sources, injector)
-        if mode == "cpubase":
-            return self._run_cpubase(plan, sources, injector)
-        raise ValueError(f"unknown execution mode {mode!r}")
+    def run_cpubase(self, plan: Plan, sources: dict[str, Relation]
+                    ) -> FunctionalRunResult:
+        """Run the host-interpreter baseline as a first-class strategy,
+        not just the degradation ladder's last rung."""
+        plan.validate()
+        return self._run_cpubase(plan, sources, None,
+                                 ExecutionConfig().strategy)
 
-    # -- resident / chunked / compressed -------------------------------
+    def _run_rung(self, rung, plan: Plan, sources: dict[str, Relation],
+                  config: ExecutionConfig, injector: FaultInjector | None
+                  ) -> FunctionalRunResult:
+        if rung == CPUBASE:
+            return self._run_cpubase(plan, sources, injector,
+                                     config.strategy)
+        if rung.uses_fission:
+            result = self._run_fission(plan, sources, injector,
+                                       rung.uses_fusion, config.memory,
+                                       config.fission)
+        else:
+            result = self._run_resident(
+                plan, sources, injector, rung.uses_fusion, config.memory,
+                eager_spill=rung is Strategy.WITH_ROUND_TRIP,
+                compressed=True)
+        result.strategy = rung
+        return result
+
+    # -- resident (serial / fused / with round trip) --------------------
     def _run_resident(self, plan: Plan, sources: dict[str, Relation],
-                      injector: FaultInjector | None = None,
-                      eager_spill: bool = False,
+                      injector: FaultInjector | None, fuse: bool,
+                      memory: HostMemory, eager_spill: bool = False,
                       compressed: bool = False) -> FunctionalRunResult:
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=self.fuse)
+        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
 
         stream = SimStream(stream_id=0)
         buffers: dict[str, DeviceBuffer] = {}
@@ -222,26 +218,25 @@ class GpuRuntime:
             if injector is not None:
                 spurious_oom(injector, f"alloc.{src.name}",
                              self.memory.capacity)
-            spills += self._make_room(buf.nbytes, buffers, stream)
+            spills += self._make_room(buf.nbytes, buffers, stream, memory)
             buf.handle = self.memory.alloc(buf.nbytes, src.name)
             if buf.nbytes > 0:
                 if compressed and self.compression.ratio > 1.0:
                     stream.h2d(self.compression.wire_bytes(buf.nbytes),
-                               self.host_memory, tag=f"input.{src.name}")
+                               memory, tag=f"input.{src.name}")
                     rows = max(1, rel.num_rows)
                     stream.kernel(
                         self.compression.decompress_spec(
                             rows, max(1, buf.nbytes // rows), self.device),
                         tag=f"decompress.{src.name}")
                 else:
-                    stream.h2d(buf.nbytes, self.host_memory,
-                               tag=f"input.{src.name}")
+                    stream.h2d(buf.nbytes, memory, tag=f"input.{src.name}")
             buffers[src.name] = buf
         sink_names = {n.name for n in plan.sinks()}
 
         # execute regions in order
         for region in fusion.regions:
-            self._ensure_inputs_resident(region, buffers, stream)
+            self._ensure_inputs_resident(region, buffers, stream, memory)
             out_rel = self._evaluate_region(region, node_results, sources)
             out_name = region.output_node.name
             node_results[out_name] = out_rel
@@ -255,7 +250,8 @@ class GpuRuntime:
                     # the spill path below, same as a genuine OOM
                     spurious_oom(injector, f"alloc.{out_name}",
                                  self.memory.capacity)
-                spills += self._make_room(buf.nbytes, buffers, stream, pinned)
+                spills += self._make_room(buf.nbytes, buffers, stream, memory,
+                                          pinned)
                 if buf.nbytes > 0:
                     buf.handle = self.memory.alloc(buf.nbytes, out_name)
             except DeviceOOMError:
@@ -265,22 +261,20 @@ class GpuRuntime:
                 if buf.nbytes > self.memory.capacity:
                     raise
                 if buf.nbytes > 0:
-                    stream.d2h(buf.nbytes, self.host_memory,
-                               tag=f"spill.out.{out_name}")
+                    stream.d2h(buf.nbytes, memory, tag=f"spill.out.{out_name}")
                     spills += 1
             buffers[out_name] = buf
 
             self._emit_region_kernels(region, node_results, stream)
             if (eager_spill and buf.resident
                     and out_name not in sink_names):
-                # chunked mode: intermediates never stay resident -- stage
+                # with round trip: intermediates never stay resident -- stage
                 # each one straight back to the host so the device footprint
                 # is one region's inputs + output at a time
                 self.memory.free(buf.handle)
                 buf.handle = None
                 if buf.nbytes > 0:
-                    stream.d2h(buf.nbytes, self.host_memory,
-                               tag=f"spill.out.{out_name}")
+                    stream.d2h(buf.nbytes, memory, tag=f"spill.out.{out_name}")
                     spills += 1
             self._release_consumed(region, buffers)
 
@@ -290,8 +284,7 @@ class GpuRuntime:
             rel = node_results[sink.name]
             results[sink.name] = rel
             if rel.nbytes > 0:
-                stream.d2h(rel.nbytes, self.host_memory,
-                           tag=f"output.{sink.name}")
+                stream.d2h(rel.nbytes, memory, tag=f"output.{sink.name}")
 
         timeline = SimEngine(self.device, faults=injector).run([stream])
         # count spill round trips from the command log (a spill is a d2h;
@@ -338,21 +331,23 @@ class GpuRuntime:
         return chain, driver
 
     def _run_fission(self, plan: Plan, sources: dict[str, Relation],
-                     injector: FaultInjector | None) -> FunctionalRunResult:
+                     injector: FaultInjector | None, fuse: bool,
+                     memory: HostMemory, fission: FissionConfig
+                     ) -> FunctionalRunResult:
         chain, driver = self._streamable_chain(plan)
         if chain is None:
             # barriers / wide joins cannot stream: resident execution is
             # the in-place fallback for non-streamable shapes
-            return self._run_resident(plan, sources, injector)
+            return self._run_resident(plan, sources, injector, fuse, memory)
         if driver.name not in sources:
             raise PlanError(f"no relation bound for source {driver.name!r}")
         driver_rel = sources[driver.name]
         n_rows = driver_rel.num_rows
         if n_rows == 0:
-            return self._run_resident(plan, sources, injector)
+            return self._run_resident(plan, sources, injector, fuse, memory)
 
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=self.fuse)
+        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
         sink = plan.sinks()[0]
         side_srcs: list[PlanNode] = []
         for node in chain:
@@ -364,19 +359,19 @@ class GpuRuntime:
                     side_srcs.append(s)
 
         engine = SimEngine(self.device, faults=injector)
-        pool = StreamPool(self.device, num_streams=self.fission.num_streams,
+        pool = StreamPool(self.device, num_streams=fission.num_streams,
                           engine=engine)
         row_nbytes = max(1, driver_rel.nbytes // n_rows)
-        segments = plan_segments(n_rows, row_nbytes, self.fission)
+        segments = plan_segments(n_rows, row_nbytes, fission)
 
         # build-side uploads and build kernels run once, before the pipeline
-        groups = [chain] if self.fuse else [[n] for n in chain]
+        groups = [chain] if fuse else [[n] for n in chain]
         kchains = [chain_for_region(g, self.costs) for g in groups]
         pre = pool.streams[0]
         for s in side_srcs:
             rel = sources[s.name]
             if rel.nbytes > 0:
-                pre.h2d(rel.nbytes, self.host_memory, tag=f"input.{s.name}")
+                pre.h2d(rel.nbytes, memory, tag=f"input.{s.name}")
         for kc in kchains:
             side_sizes = {getattr(n, "name", str(n)): sources[n.name].num_rows
                           for _, n in kc.side_kernels}
@@ -402,14 +397,14 @@ class GpuRuntime:
 
             ps = pool.streams[seg.index % pool.num_streams]
             if seg_in.nbytes > 0:
-                ps.h2d(seg_in.nbytes, self.host_memory,
+                ps.h2d(seg_in.nbytes, memory,
                        tag=f"input.{driver.name}.seg{seg.index}")
             for kc, grp in zip(kchains, groups):
                 for spec in kc.main_launch_specs(
                         max(rows_in[grp[0].name], 1), self.device):
                     ps.kernel(spec, tag=f"{spec.name}.seg{seg.index}")
             if out.nbytes > 0:
-                ps.d2h(out.nbytes, self.host_memory,
+                ps.d2h(out.nbytes, memory,
                        tag=f"output.{sink.name}.seg{seg.index}")
             last = ps.sim.commands[-1]
             prev = last.thunk
@@ -438,7 +433,8 @@ class GpuRuntime:
 
     # -- cpubase (host interpreter) --------------------------------------
     def _run_cpubase(self, plan: Plan, sources: dict[str, Relation],
-                     injector: FaultInjector | None) -> FunctionalRunResult:
+                     injector: FaultInjector | None, strategy: Strategy
+                     ) -> FunctionalRunResult:
         """Host fallback: the NumPy interpreter computes every node; the
         timeline is a single HOST event timed by the CPU calibration.  No
         device commands remain, so nothing is left to fault (slowdowns may
@@ -455,17 +451,18 @@ class GpuRuntime:
             row = rel.row_nbytes if rel.num_rows else 4
             duration += cpu_select_time(rel.num_rows, max(1, row))
         stream = SimStream(stream_id=0)
-        stream.host(duration, tag="cpubase")
+        stream.host(duration, tag=CPUBASE)
         timeline = SimEngine(self.device, faults=injector).run([stream])
         results = {s.name: node_results[s.name] for s in plan.sinks()}
         return FunctionalRunResult(
             results=results, timeline=timeline, fusion=fusion,
-            spill_count=0, peak_device_bytes=0,
+            spill_count=0, peak_device_bytes=0, strategy=strategy,
         )
 
     # -- memory management ------------------------------------------------
     def _make_room(self, nbytes: int, buffers: dict[str, DeviceBuffer],
-                   stream: SimStream, pinned: set[str] | None = None) -> int:
+                   stream: SimStream, memory: HostMemory,
+                   pinned: set[str] | None = None) -> int:
         """Evict resident buffers (largest-first) until `nbytes` fits.
 
         Buffers named in `pinned` (the running region's inputs) are never
@@ -494,22 +491,22 @@ class GpuRuntime:
             if victim.refs_remaining > 0:
                 # still needed: a true round trip (device -> host now,
                 # host -> device on next use)
-                stream.d2h(victim.nbytes, self.host_memory,
+                stream.d2h(victim.nbytes, memory,
                            tag=f"spill.out.{victim.name}")
                 spills += 1
         return spills
 
     def _ensure_inputs_resident(self, region: Region,
                                 buffers: dict[str, DeviceBuffer],
-                                stream: SimStream) -> None:
+                                stream: SimStream, memory: HostMemory) -> None:
         for node in region.nodes:
             for inp in node.inputs:
                 buf = buffers.get(inp.name)
                 if buf is not None and not buf.resident:
-                    self._make_room(buf.nbytes, buffers, stream)
+                    self._make_room(buf.nbytes, buffers, stream, memory)
                     buf.handle = self.memory.alloc(buf.nbytes, buf.name)
                     if buf.nbytes > 0:
-                        stream.h2d(buf.nbytes, self.host_memory,
+                        stream.h2d(buf.nbytes, memory,
                                    tag=f"spill.in.{buf.name}")
 
     def _release_consumed(self, region: Region,

@@ -1,7 +1,7 @@
 """Chaos property suite (the ISSUE's acceptance test).
 
-For 120 seeds, run a random plan through every execution mode with fault
-injection on: the run must either return tuples identical to the clean
+For 120 seeds, run a random plan through every execution strategy with
+fault injection on: the run must either return tuples identical to the clean
 NumPy interpreter or raise a typed :class:`~repro.errors.ReproError` --
 never a silent wrong answer -- and every completed timeline must pass the
 schedule sanitizer strictly.
@@ -13,30 +13,32 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.plans import evaluate_sinks
 from repro.plans.fuzz import random_plan_case
-from repro.runtime import GpuRuntime
+from repro.runtime import ExecutionConfig, GpuRuntime, Strategy
 from repro.runtime.select_chain import run_select_chain
-from repro.runtime.executor import Strategy
 from repro.simgpu.compression import RLE
 from repro.validate import validate_run
 
-MODES = ("resident", "fission", "chunked", "compressed", "cpubase")
+STRATEGIES = tuple(Strategy)
+FUSED_FISSION = ExecutionConfig(Strategy.FUSED_FISSION)
 
 
 def _check_against_interpreter(case, result):
     ref = evaluate_sinks(case.plan, case.sources)
     for name, rel in ref.items():
         assert result.results[name].same_tuples(rel), (
-            f"plan={case.description} sink={name} mode={result.mode}")
+            f"plan={case.description} sink={name} "
+            f"strategy={result.strategy.value} "
+            f"degraded_to={result.degraded_to}")
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_chaos_never_silently_wrong(seed):
+@pytest.mark.parametrize("seed,strategy", [
+    pytest.param(seed, STRATEGIES[seed % len(STRATEGIES)], id=str(seed))
+    for seed in range(120)])
+def test_chaos_never_silently_wrong(seed, strategy):
     case = random_plan_case(seed % 40)
-    mode = MODES[seed % len(MODES)]
-    rt = GpuRuntime(mode=mode, faults=FaultPlan.chaos(seed, rate=0.05),
-                    compression=RLE)
+    rt = GpuRuntime(faults=FaultPlan.chaos(seed, rate=0.05), compression=RLE)
     try:
-        result = rt.run(case.plan, case.sources)
+        result = rt.run(case.plan, case.sources, ExecutionConfig(strategy))
     except ReproError:
         return  # a typed, diagnosable failure is an acceptable outcome
     _check_against_interpreter(case, result)
@@ -48,10 +50,9 @@ def test_heavy_chaos_still_correct(seed):
     """At a 30% fault rate recovery does real work (retries and usually a
     degradation), yet the answers never drift."""
     case = random_plan_case(seed)
-    rt = GpuRuntime(mode="fission",
-                    faults=FaultPlan.chaos(seed, rate=0.3, budget=256))
+    rt = GpuRuntime(faults=FaultPlan.chaos(seed, rate=0.3, budget=256))
     try:
-        result = rt.run(case.plan, case.sources)
+        result = rt.run(case.plan, case.sources, FUSED_FISSION)
     except ReproError:
         return
     _check_against_interpreter(case, result)
@@ -64,9 +65,8 @@ def test_chaos_runs_actually_inject():
     injected = 0
     for seed in range(30):
         case = random_plan_case(seed % 10)
-        rt = GpuRuntime(mode="fission",
-                        faults=FaultPlan.chaos(seed, rate=0.2, budget=256))
-        result = rt.run(case.plan, case.sources)
+        rt = GpuRuntime(faults=FaultPlan.chaos(seed, rate=0.2, budget=256))
+        result = rt.run(case.plan, case.sources, FUSED_FISSION)
         injected += result.faults_injected
     assert injected > 30
 

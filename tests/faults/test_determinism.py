@@ -5,7 +5,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.plans.fuzz import random_plan_case
-from repro.runtime import GpuRuntime, Strategy
+from repro.runtime import ExecutionConfig, GpuRuntime, Strategy
 from repro.runtime.select_chain import run_select_chain
 
 
@@ -14,20 +14,19 @@ def _fingerprint(timeline):
             for e in timeline.events]
 
 
-@pytest.mark.parametrize("mode", ["resident", "fission", "chunked"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_same_fault_seed_reproduces_run(mode, seed):
+def test_same_fault_seed_reproduces_run(strategy, seed):
     case = random_plan_case(seed)
 
     def go():
-        rt = GpuRuntime(mode=mode,
-                        faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
-        return rt.run(case.plan, case.sources)
+        rt = GpuRuntime(faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
+        return rt.run(case.plan, case.sources, ExecutionConfig(strategy))
 
     a, b = go(), go()
     assert _fingerprint(a.timeline) == _fingerprint(b.timeline)
     assert a.makespan == b.makespan
-    assert (a.mode, a.degraded_to) == (b.mode, b.degraded_to)
+    assert (a.strategy, a.degraded_to) == (b.strategy, b.degraded_to)
     assert (a.faults_injected, a.retries, a.reissues) == \
         (b.faults_injected, b.retries, b.reissues)
     for name, rel in a.results.items():
@@ -53,7 +52,8 @@ def test_different_fault_seeds_usually_differ():
     case = random_plan_case(2)
     prints = set()
     for seed in range(6):
-        rt = GpuRuntime(mode="fission",
-                        faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
-        prints.add(tuple(_fingerprint(rt.run(case.plan, case.sources).timeline)))
+        rt = GpuRuntime(faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
+        result = rt.run(case.plan, case.sources,
+                        ExecutionConfig(Strategy.FUSED_FISSION))
+        prints.add(tuple(_fingerprint(result.timeline)))
     assert len(prints) > 1

@@ -9,35 +9,32 @@ import pytest
 
 from repro.plans import evaluate_sinks, optimize_plan
 from repro.plans.fuzz import random_plan_case
-from repro.runtime import GpuRuntime
+from repro.runtime import ExecutionConfig, GpuRuntime, Strategy
 from repro.simgpu.compression import BITPACK, DICT, RLE
 
 SEEDS = list(range(60))
 
 
-def _sink_relations(plan, results):
-    return {s.name: results[s.name] for s in plan.sinks()}
+def _assert_matches_interpreter(seed, strategy, runtime=None):
+    case = random_plan_case(seed)
+    case.plan.validate()
+    ref = evaluate_sinks(case.plan, case.sources)
+    res = (runtime or GpuRuntime()).run(case.plan, case.sources,
+                                        ExecutionConfig(strategy))
+    for name, rel in ref.items():
+        assert res.results[name].same_tuples(rel), (
+            f"seed={seed} strategy={strategy.value} "
+            f"plan={case.description} sink={name}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fused_runtime_matches_interpreter(seed):
-    case = random_plan_case(seed)
-    case.plan.validate()
-    ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(fuse=True).run(case.plan, case.sources)
-    for name, rel in ref.items():
-        assert res.results[name].same_tuples(rel), (
-            f"seed={seed} plan={case.description} sink={name}")
+    _assert_matches_interpreter(seed, Strategy.FUSED)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:30])
 def test_unfused_runtime_matches_interpreter(seed):
-    case = random_plan_case(seed)
-    ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(fuse=False).run(case.plan, case.sources)
-    for name, rel in ref.items():
-        assert res.results[name].same_tuples(rel), (
-            f"seed={seed} plan={case.description}")
+    _assert_matches_interpreter(seed, Strategy.SERIAL)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:30])
@@ -47,8 +44,8 @@ def test_runtime_under_memory_pressure_matches(seed):
     ref = evaluate_sinks(case.plan, case.sources)
     from repro.errors import DeviceOOMError
     try:
-        res = GpuRuntime(fuse=True, memory_limit=budget).run(
-            case.plan, case.sources)
+        res = GpuRuntime(memory_limit=budget).run(
+            case.plan, case.sources, ExecutionConfig(Strategy.FUSED))
     except DeviceOOMError:
         pytest.skip("plan legitimately needs more than the tiny budget")
     for name, rel in ref.items():
@@ -75,8 +72,10 @@ def test_fused_timing_never_worse_than_unfused(seed):
     """Fusion is only applied where the lowering saves work; on these
     chains the fused simulated time must not regress."""
     case = random_plan_case(seed)
-    fused = GpuRuntime(fuse=True).run(case.plan, case.sources)
-    unfused = GpuRuntime(fuse=False).run(case.plan, case.sources)
+    rt = GpuRuntime()
+    fused = rt.run(case.plan, case.sources, ExecutionConfig(Strategy.FUSED))
+    unfused = rt.run(case.plan, case.sources,
+                     ExecutionConfig(Strategy.SERIAL))
     assert fused.makespan <= unfused.makespan * 1.05, (
         f"seed={seed} plan={case.description}")
 
@@ -86,44 +85,33 @@ def test_fission_runtime_matches_interpreter(seed):
     """The segmented pipeline (kernel fission over pooled streams) must be
     invisible to the answer, including on plans it cannot stream (where it
     falls back to resident execution)."""
-    case = random_plan_case(seed)
-    ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="fission").run(case.plan, case.sources)
-    for name, rel in ref.items():
-        assert res.results[name].same_tuples(rel), (
-            f"seed={seed} plan={case.description}")
+    _assert_matches_interpreter(seed, Strategy.FISSION)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:30])
+def test_fused_fission_runtime_matches_interpreter(seed):
+    _assert_matches_interpreter(seed, Strategy.FUSED_FISSION)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:30])
 def test_chunked_runtime_matches_interpreter(seed):
     """Eagerly staging every intermediate to the host (the forced round
     trip) changes the schedule, never the tuples."""
-    case = random_plan_case(seed)
-    ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="chunked").run(case.plan, case.sources)
-    for name, rel in ref.items():
-        assert res.results[name].same_tuples(rel), (
-            f"seed={seed} plan={case.description}")
+    _assert_matches_interpreter(seed, Strategy.WITH_ROUND_TRIP)
 
 
 @pytest.mark.parametrize("scheme", [RLE, DICT, BITPACK], ids=lambda s: s.name)
 @pytest.mark.parametrize("seed", SEEDS[:15])
 def test_compressed_transfers_match_interpreter(seed, scheme):
-    case = random_plan_case(seed)
-    ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="compressed", compression=scheme).run(
-        case.plan, case.sources)
-    for name, rel in ref.items():
-        assert res.results[name].same_tuples(rel), (
-            f"seed={seed} plan={case.description} scheme={scheme.name}")
+    _assert_matches_interpreter(seed, Strategy.FUSED,
+                                GpuRuntime(compression=scheme))
 
 
 def test_compressed_mode_moves_fewer_wire_bytes():
     from repro.simgpu import EventKind
     case = random_plan_case(1)
-    raw = GpuRuntime(mode="resident").run(case.plan, case.sources)
-    comp = GpuRuntime(mode="compressed", compression=RLE).run(
-        case.plan, case.sources)
+    raw = GpuRuntime().run(case.plan, case.sources)
+    comp = GpuRuntime(compression=RLE).run(case.plan, case.sources)
     bytes_up = lambda r: sum(e.nbytes for e in r.timeline.filter(EventKind.H2D)
                              if e.tag.startswith("input."))
     assert bytes_up(comp) < bytes_up(raw)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.optimizer import DataStats
 from repro.plans import Plan
+from repro.plans.fuzz import random_plan_case
 from repro.ra import Field, Relation
 from repro.runtime.estimates import profile_estimates
 from repro.tpch import (
@@ -52,6 +54,12 @@ class TestProfiler:
         rec = prof.records[0]
         assert rec.actual == 0
         assert rec.ratio == float("inf")
+
+    def test_profile_bridges_into_data_stats(self):
+        case = random_plan_case(3)
+        profile = profile_estimates(case.plan, case.sources)
+        assert profile.data_stats() == DataStats.from_relations(
+            case.plan, case.sources)
 
 
 class TestCalibratedPlans:

@@ -35,8 +35,9 @@ class TestFunctional:
             q6_reference(tpch_small.lineitem), rel=1e-3)
 
     def test_through_gpu_runtime(self, tpch_small):
-        res = GpuRuntime(fuse=True).run(
-            build_q6_plan(), {"lineitem": tpch_small.lineitem})
+        res = GpuRuntime().run(
+            build_q6_plan(), {"lineitem": tpch_small.lineitem},
+            ExecutionConfig(strategy=Strategy.FUSED))
         got = float(res.results["agg_revenue"]["revenue"][0])
         assert got == pytest.approx(q6_reference(tpch_small.lineitem), rel=1e-3)
 
