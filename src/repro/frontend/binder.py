@@ -7,6 +7,9 @@ Binding resolves every column reference against the catalog, producing
 * columns reached through an alias get prefixed (``n1.n_name`` ->
   ``n1_n_name``), which is also how the lowering names the physical
   rename it emits for self-joins;
+* the right side of ``JOIN <table> USING (k)`` whose column names clash
+  with the left side's is prefixed by its table name, as if aliased, and
+  an unqualified ``k`` names the left side's column (SQL's merged column);
 * references to an *enclosing* query's columns (correlation) become
   ``__corr_<canonical>`` fields -- the decorrelation pass consumes these,
   and the PLN010 lint proves none survive into the final plan.
@@ -47,6 +50,9 @@ class BoundRel:
     kind: str                      # 'from' | 'inner' | 'left' | 'cross'
     on: Predicate | None = None    # bound ON predicate (join entries)
     subquery: "BoundQuery | None" = None
+    #: USING columns merged into an earlier relation: an unqualified
+    #: reference resolves there, a qualified one still reaches this side
+    merged: frozenset[str] = frozenset()
 
     def canonical(self, col: str) -> str:
         return self.prefix + col
@@ -199,13 +205,19 @@ class _Binder:
         for clause in query.joins:
             rel = self._bind_ref(clause.table, clause.alias, clause.subquery,
                                  clause.kind, outer)
-            rels.append(rel)
             if clause.using:
-                lhs = self._resolve(clause.using, [rels[:-1]] + outer,
-                                    correlated)
+                lhs = self._resolve(clause.using, [rels] + outer, correlated)
+                taken = {r.canonical(c) for r in rels for c in r.columns}
+                if rel.table is not None and not rel.prefix \
+                        and taken & set(rel.columns):
+                    # same names on both sides: qualify this side as if
+                    # it were aliased by its table name
+                    rel.prefix = f"{rel.name}_"
                 rhs = self._resolve(clause.using, [[rel]], correlated)
                 rel.on = Compare("==", lhs.expr, rhs.expr)
-            elif clause.on is not None:
+                rel.merged = frozenset({clause.using})
+            rels.append(rel)
+            if clause.on is not None:
                 rel.on = self._bind_pred(clause.on, scope_stack, correlated)
 
         where = (self._bind_pred(query.where, scope_stack, correlated)
@@ -253,12 +265,15 @@ class _Binder:
                     f"{len(rhs.items)} columns")
             set_op = (op, rhs)
 
-        return BoundQuery(rels=rels, items=items, where=where,
-                          group_by=group_by,
-                          group_item_aliases=group_item_aliases,
-                          having=having, order_by=order_by,
-                          limit=query.limit, distinct=query.distinct,
-                          set_op=set_op, correlated=correlated)
+        bound = BoundQuery(rels=rels, items=items, where=where,
+                           group_by=group_by,
+                           group_item_aliases=group_item_aliases,
+                           having=having, order_by=order_by,
+                           limit=query.limit, distinct=query.distinct,
+                           set_op=set_op, correlated=correlated)
+        if bound.group_by and not bound.has_aggregates:
+            raise BindError("GROUP BY without aggregates is not supported")
+        return bound
 
     def _bind_ref(self, table: str, alias: str | None, subquery,
                   kind: str, outer) -> BoundRel:
@@ -287,7 +302,8 @@ class _Binder:
                     return self._hit(rel, col, depth, correlated)
             raise BindError(f"unknown table or alias {alias!r}")
         for depth, scope in enumerate(scope_stack):
-            hits = [rel for rel in scope if name in rel.columns]
+            hits = [rel for rel in scope
+                    if name in rel.columns and name not in rel.merged]
             if len(hits) > 1:
                 names = ", ".join(sorted(r.name for r in hits))
                 raise BindError(

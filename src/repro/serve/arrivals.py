@@ -1,8 +1,9 @@
 """Client model: who asks what, when.
 
-Tenants offer queries from a fixed catalog (TPC-H Q1/Q6/Q21 plus two
-SQL-frontend shapes compiled through :func:`repro.sql.sql_to_plan`).  Two
-client disciplines are modeled:
+Tenants offer queries from a fixed catalog: TPC-H Q1/Q6/Q21, two ad-hoc
+SQL shapes and the 22 catalog TPC-H queries, the SQL ones compiled
+through :func:`repro.frontend.compile_sql`.  Two client disciplines are
+modeled:
 
 * **open loop** -- a merged Poisson process at the configured offered load;
   each arrival picks a tenant by weight and a query kind from the tenant's
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..plans.plan import Plan
-from ..sql import sql_to_plan
 from ..tpch import (
     build_q1_plan,
     build_q21_plan,
@@ -39,12 +39,15 @@ from ..tpch import (
 # query catalog
 # ---------------------------------------------------------------------------
 
-#: SQL-frontend shapes served alongside the TPC-H plans.  ``lineitem`` is
-#: declared at Q6's 16 B/row so these batch with Q6 over the same upload.
-_SQL_SCAN = ("SELECT orderkey FROM lineitem WHERE orderkey < 1000",
-             {"lineitem": 16})
-_SQL_AGG = ("SELECT returnflag, COUNT(*) AS n FROM lineitem "
-            "GROUP BY returnflag", {"lineitem": 16})
+#: the two ad-hoc SQL kinds and the ``lineitem`` columns they bind
+#: against: 16 B/row, Q6's width, so they batch with Q6 over the same upload
+_SQL_KINDS = {
+    "sql_scan": "SELECT orderkey FROM lineitem WHERE orderkey < 1000",
+    "sql_agg": "SELECT returnflag, COUNT(*) AS n FROM lineitem "
+               "GROUP BY returnflag",
+}
+_SQL_LINEITEM = (("orderkey", "int"), ("returnflag", "int"),
+                 ("quantity", "float"), ("shipdate", "date"))
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +59,13 @@ def catalog_plan(kind: str) -> Plan:
         return build_q6_plan()
     if kind == "q21":
         return build_q21_plan()
-    if kind == "sql_scan":
-        return sql_to_plan(_SQL_SCAN[0], row_nbytes=_SQL_SCAN[1])
-    if kind == "sql_agg":
-        return sql_to_plan(_SQL_AGG[0], row_nbytes=_SQL_AGG[1])
+    if kind in _SQL_KINDS:
+        # imported here, like the TPC-H catalog below, so that importing
+        # the serving layer does not import the SQL frontend
+        from ..frontend import Catalog, Column, Table, compile_sql
+        catalog = Catalog([Table("lineitem", tuple(
+            Column(name, col_kind) for name, col_kind in _SQL_LINEITEM))])
+        return compile_sql(_SQL_KINDS[kind], catalog, name=kind).plan
     if kind.startswith("tpch_q"):
         from ..tpch.catalog import compile_tpch
         return compile_tpch(kind[len("tpch_"):]).plan

@@ -1,26 +1,24 @@
-"""A SQL front end for the plan layer.
+"""SQL text -> syntax tree: the lexer, the parser and the AST.
 
-Parses the analytic-query subset data warehousing needs -- filters, joins,
-computed expressions, grouped aggregation, ordering -- into the logical
-plans the fusion/fission compiler consumes:
+The grammar covers the analytic subset data warehousing needs -- filters,
+joins, subqueries, computed expressions, grouped aggregation, ordering,
+top-N and set operations.  Binding against a schema and lowering to the
+plans the fusion/fission compiler consumes live in :mod:`repro.frontend`:
 
->>> from repro.sql import sql_to_plan
->>> plan = sql_to_plan('''
-...     SELECT returnflag, SUM(quantity) AS total
+>>> from repro.frontend import compile_sql
+>>> from repro.tpch.catalog import CATALOG
+>>> compiled = compile_sql('''
+...     SELECT l_returnflag, SUM(l_quantity) AS total
 ...     FROM lineitem
-...     WHERE shipdate <= 2436 AND discount < 0.05
-...     GROUP BY returnflag
-...     ORDER BY returnflag
-... ''')
-
-The resulting plan runs through everything else in the package: the
-fusion pass, the executor/strategies, and the functional runtime.
+...     WHERE l_shipdate <= 2436 AND l_discount < 0.05
+...     GROUP BY l_returnflag
+...     ORDER BY l_returnflag
+... ''', CATALOG)
 """
 
 from .ast import Aggregate, Query, SelectItem
 from .lexer import SqlError, Token, tokenize
 from .parser import parse
-from .binder import sql_to_plan, to_plan
 
 __all__ = ["Aggregate", "Query", "SelectItem", "SqlError", "Token",
-           "tokenize", "parse", "sql_to_plan", "to_plan"]
+           "tokenize", "parse"]

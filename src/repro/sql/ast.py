@@ -107,10 +107,6 @@ class SelectItem:
         if (self.expr is None) == (self.agg is None):
             raise ValueError("SelectItem needs exactly one of expr/agg")
 
-    @property
-    def is_aggregate(self) -> bool:
-        return self.agg is not None
-
 
 @dataclass(frozen=True)
 class TableRef:
@@ -148,7 +144,3 @@ class Query:
     tables: list[TableRef] = field(default_factory=list)  # full FROM list
     limit: int | None = None
     set_op: "tuple[str, Query] | None" = None  # ('union'|'union_all'|'except'|'except_all', rhs)
-
-    @property
-    def has_aggregates(self) -> bool:
-        return any(item.is_aggregate for item in self.items)

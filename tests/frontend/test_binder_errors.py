@@ -103,6 +103,15 @@ class TestShapeErrors:
         assert _err("SELECT a FROM t ORDER BY b") == \
             "ORDER BY column 'b' must appear in the SELECT list"
 
+    def test_group_by_without_aggregates(self):
+        assert _err("SELECT a FROM t GROUP BY a") == \
+            "GROUP BY without aggregates is not supported"
+
+    def test_group_by_with_having_aggregate_binds(self):
+        bound = bind_sql("SELECT a FROM t GROUP BY a HAVING COUNT(*) > 1",
+                         CAT)
+        assert bound.group_by == ["a"]
+
     def test_set_op_arity_mismatch(self):
         msg = _err("SELECT a FROM t UNION ALL SELECT a, c FROM u")
         assert msg == "set operation arity mismatch: 1 vs 2 columns"

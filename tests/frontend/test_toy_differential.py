@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.frontend import Catalog, Column, Table, validate_sql
+from repro.frontend.validate import ordering_violation
 from repro.ra.relation import Relation
 
 CAT = Catalog([
@@ -33,6 +34,10 @@ CAT = Catalog([
         Column("n_nation", "int"),
         Column("n_name", "code",
                pool=("ALPHA", "BETA", "GAMMA", "DELTA", "EPSILON")),
+    )),
+    Table("tier", (
+        Column("c_cust", "int"),       # same name as cust's key
+        Column("t_level", "int"),
     )),
 ])
 
@@ -56,6 +61,10 @@ def _tables(seed: int = 0, n: int = 400) -> dict[str, Relation]:
         "nation": Relation({
             "n_nation": np.arange(5, dtype=np.int32),
             "n_name": np.arange(5, dtype=np.int32),
+        }),
+        "tier": Relation({
+            "c_cust": np.arange(0, 40, 2, dtype=np.int32),
+            "t_level": rng.integers(0, 3, 20).astype(np.int32),
         }),
     }
 
@@ -140,6 +149,17 @@ CASES = {
         FROM sales
         GROUP BY s_tag
     """,
+    "order_desc_ties": """
+        SELECT s_cust, COUNT(*) AS n
+        FROM sales
+        GROUP BY s_cust
+        ORDER BY n DESC
+    """,
+    "join_using_same_name": """
+        SELECT c_cust, c_name, t_level
+        FROM cust JOIN tier USING (c_cust)
+        WHERE c_cust < 30
+    """,
     "date_extract": """
         SELECT EXTRACT(YEAR FROM s_day) AS yr, SUM(s_amount) AS total
         FROM sales
@@ -167,3 +187,17 @@ def test_seeds_validate(seed):
     for name, sql in CASES.items():
         report = validate_sql(name, sql, CAT, tables)
         assert report.status == "ok", f"{name}@seed{seed}: {report.detail}"
+
+
+
+@pytest.mark.parametrize("by, descending, ordered", [
+    (["a"], True, True),               # ties may come in any order
+    (["a"], False, False),
+    (["a", "b"], [True, False], True),
+    (["a", "b"], True, False),         # b rises inside a tie
+])
+def test_ordering_check(by, descending, ordered):
+    rel = Relation({"a": np.array([3, 3, 1, 1], dtype=np.int32),
+                    "b": np.array([1, 2, 1, 2], dtype=np.int32)})
+    got = ordering_violation(rel, by, descending)
+    assert got == (None if ordered else f"output is not ordered by {by}")

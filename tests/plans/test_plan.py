@@ -23,7 +23,7 @@ class TestBuilder:
         b = plan.select(a, Field("x") < 2)
         assert a.name != b.name
 
-    def test_input_must_belong_to_plan(self):
+    def test_input_from_another_plan_rejected(self):
         p1, p2 = Plan(), Plan()
         s = p1.source("t")
         with pytest.raises(PlanError):

@@ -1,19 +1,24 @@
 """Property-based tests for the SQL front end.
 
-Random queries are generated structurally, rendered to SQL text, parsed
-back, and executed -- the results must match the directly-constructed
-reference computation.
+Random queries are generated structurally, rendered to SQL text, compiled
+through the frontend, and executed -- the results must match the
+directly-constructed reference computation and, byte for byte, the
+frontend's reference interpreter.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.plans import evaluate_sinks
+from repro.frontend import (
+    Catalog, Column, Table, compare_relations, compile_sql,
+    reference_execute, run_plan,
+)
 from repro.ra import Relation
-from repro.sql import parse, sql_to_plan
+from repro.sql import parse
 
 FIELDS = ["k", "v", "w"]
+CAT = Catalog([Table("t", tuple(Column(f, "int") for f in FIELDS))])
 CMPS = ["<", "<=", ">", ">=", "=", "!="]
 
 comparison_st = st.tuples(st.sampled_from(FIELDS), st.sampled_from(CMPS),
@@ -24,6 +29,19 @@ def _rel(seed, n=3000):
     rng = np.random.default_rng(seed)
     return Relation({f: rng.integers(0, 60, n).astype(np.int32)
                      for f in FIELDS})
+
+
+def plan_of(sql):
+    return compile_sql(sql, CAT).plan
+
+
+def run(sql, rel):
+    """Plan output, after checking it against the reference interpreter."""
+    compiled = compile_sql(sql, CAT)
+    out = run_plan(compiled, {"t": rel})
+    want = reference_execute(compiled.bound, {"t": rel})
+    assert compare_relations(out, want) is None
+    return out
 
 
 def _mask(rel, comparisons, connector):
@@ -43,8 +61,7 @@ def _mask(rel, comparisons, connector):
 def test_where_clause_matches_numpy(comparisons, connector, seed):
     rel = _rel(seed % 1000)
     where = f" {connector} ".join(f"{f} {c} {t}" for f, c, t in comparisons)
-    plan = sql_to_plan(f"SELECT k, v, w FROM t WHERE {where}")
-    out = list(evaluate_sinks(plan, {"t": rel}).values())[0]
+    out = run(f"SELECT k, v, w FROM t WHERE {where}", rel)
     expected = int(_mask(rel, comparisons, connector).sum())
     assert out.num_rows == expected
 
@@ -54,10 +71,9 @@ def test_where_clause_matches_numpy(comparisons, connector, seed):
 @settings(max_examples=40, deadline=None)
 def test_grouped_sum_matches_numpy(group_field, value_field, scale, seed):
     rel = _rel(seed % 1000)
-    plan = sql_to_plan(
+    out = run(
         f"SELECT {group_field}, SUM({value_field} * {scale}) AS s "
-        f"FROM t GROUP BY {group_field} ORDER BY {group_field}")
-    out = list(evaluate_sinks(plan, {"t": rel}).values())[0]
+        f"FROM t GROUP BY {group_field} ORDER BY {group_field}", rel)
     for g, s in zip(out[group_field], out["s"]):
         mask = rel[group_field] == g
         assert int(s) == int(rel[value_field][mask].sum()) * scale
@@ -78,10 +94,8 @@ def test_parse_is_deterministic_and_stable(comparisons, seed):
 @settings(max_examples=40, deadline=None)
 def test_between_equals_two_comparisons(lo, hi, seed):
     rel = _rel(seed % 1000)
-    a = sql_to_plan(f"SELECT k FROM t WHERE k BETWEEN {lo} AND {hi}")
-    b = sql_to_plan(f"SELECT k FROM t WHERE k >= {lo} AND k <= {hi}")
-    ra = list(evaluate_sinks(a, {"t": rel}).values())[0]
-    rb = list(evaluate_sinks(b, {"t": rel}).values())[0]
+    ra = run(f"SELECT k FROM t WHERE k BETWEEN {lo} AND {hi}", rel)
+    rb = run(f"SELECT k FROM t WHERE k >= {lo} AND k <= {hi}", rel)
     assert ra.to_tuples() == rb.to_tuples()
 
 
@@ -92,7 +106,7 @@ def test_sql_plans_survive_the_full_pipeline(comparisons, seed):
     """Every generated query must compile and fuse without error."""
     from repro.core.passes import compile_plan
     where = " AND ".join(f"{f} {c} {t}" for f, c, t in comparisons)
-    plan = sql_to_plan(f"SELECT k FROM t WHERE {where}")
+    plan = plan_of(f"SELECT k FROM t WHERE {where}")
     cp = compile_plan(plan, {"t": 1_000_000})
     assert cp.num_kernels >= 1
     assert cp.run().makespan > 0

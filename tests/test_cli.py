@@ -87,14 +87,19 @@ class TestCompile:
 
 
 class TestSql:
+    STATEMENT = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
+                 "GROUP BY l_returnflag")
+
     def test_query_runs(self, capsys):
-        assert main(["sql",
-                     "SELECT returnflag, COUNT(*) AS n FROM lineitem "
-                     "GROUP BY returnflag",
+        assert main(["sql", self.STATEMENT,
                      "--scale-factor", "0.002"]) == 0
         out = capsys.readouterr().out
-        assert "returnflag" in out
-        assert "compiled plan" in out
+        assert "l_returnflag" in out
+        assert main(["sql", self.STATEMENT, "--explain",
+                     "--scale-factor", "0.002"]) == 0
+        out = capsys.readouterr().out
+        assert "bound query:" in out
+        assert "plan 'statement'" in out and "AGGREGATE" in out
 
     def test_unknown_table(self, capsys):
         assert main(["sql", "SELECT a FROM widgets",
@@ -103,7 +108,7 @@ class TestSql:
 
     def test_row_limit(self, capsys):
         assert main(["sql",
-                     "SELECT orderkey FROM lineitem WHERE orderkey < 50",
+                     "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 50",
                      "--scale-factor", "0.002", "--limit", "3"]) == 0
         out = capsys.readouterr().out
         assert "rows total" in out
