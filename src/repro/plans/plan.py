@@ -249,7 +249,9 @@ class Plan:
         return [n for n in self.nodes if node in n.inputs]
 
     def sinks(self) -> list[PlanNode]:
-        return [n for n in self.nodes if not self.consumers(n)]
+        """Nodes nothing consumes, in plan order (one pass over the edges)."""
+        consumed = {inp for n in self.nodes for inp in n.inputs}
+        return [n for n in self.nodes if n not in consumed]
 
     def sources(self) -> list[PlanNode]:
         return [n for n in self.nodes if n.op is OpType.SOURCE]

@@ -113,6 +113,10 @@ class Relation:
     def take(self, indices: np.ndarray) -> "Relation":
         """Row subset by integer indices (or boolean mask)."""
         idx = np.asarray(indices)
+        if idx.dtype == bool and idx.shape == (self.num_rows,):
+            # one mask scan, then a cheap index gather per column; a
+            # mis-shaped mask falls through to NumPy's own IndexError
+            idx = np.flatnonzero(idx)
         return Relation(
             {name: col[idx] for name, col in self.columns.items()},
             key=self.key,

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import PlanError
+from repro.frontend import compile_sql
+from repro.plans.fuzz import random_plan_case
 from repro.plans.plan import OpType, Plan, PlanNode
 from repro.ra.arithmetic import AggSpec
 from repro.ra.expr import Field
+from repro.tpch.catalog import CATALOG, QUERIES
 
 
 class TestBuilder:
@@ -92,6 +95,17 @@ class TestGraphQueries:
     def test_sinks(self):
         plan, s, a, b, c = self._diamondish()
         assert set(n.name for n in plan.sinks()) == {"b", "c"}
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_sinks_match_consumer_scan_on_fuzz_corpus(self, seed):
+        plan = random_plan_case(seed).plan
+        assert plan.sinks() == [n for n in plan.nodes if not plan.consumers(n)]
+
+    def test_sinks_match_consumer_scan_on_tpch_plans(self):
+        for name, sql in sorted(QUERIES.items()):
+            plan = compile_sql(sql, CATALOG, name=name).plan
+            assert plan.sinks() == [n for n in plan.nodes
+                                    if not plan.consumers(n)], name
 
     def test_sources(self):
         plan, s, *_ = self._diamondish()

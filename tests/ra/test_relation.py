@@ -101,6 +101,23 @@ class TestDerived:
         r = Relation({"a": [10, 20, 30]})
         assert r.take(np.array([True, False, True])).to_tuples() == [(10,), (30,)]
 
+    def test_take_mask_gathers_same_bytes_as_boolean_indexing(self):
+        rng = np.random.default_rng(0)
+        r = Relation({"k": rng.integers(0, 9, 200), "f": rng.random(200).astype(np.float32),
+                      "s": rng.choice(np.array(["a", "bb", "ccc"]), 200)}, key="f")
+        mask = rng.random(200) < 0.5
+        out = r.take(mask)
+        assert out.key == "f"
+        for name in r.fields:
+            want = r.column(name)[mask]
+            assert out.column(name).dtype == want.dtype
+            assert out.column(name).tobytes() == want.tobytes()
+
+    def test_take_misshaped_mask_still_raises(self):
+        r = Relation({"a": [10, 20, 30]})
+        with pytest.raises(IndexError):
+            r.take(np.array([True, False]))
+
     def test_with_columns(self):
         r = Relation({"a": [1, 2]})
         r2 = r.with_columns({"b": np.array([3, 4])})
