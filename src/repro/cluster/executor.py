@@ -240,8 +240,7 @@ class ClusterExecutor:
 
     def __init__(self, base_device: DeviceSpec | None = None,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
-                 config: ClusterConfig = ClusterConfig(),
-                 plan_cache=None):
+                 config: ClusterConfig = ClusterConfig()):
         self.base_device = base_device or DeviceSpec()
         self.costs = costs
         self.config = config
@@ -249,44 +248,16 @@ class ClusterExecutor:
             num_devices=config.num_devices, base=self.base_device,
             pcie_sharers=config.pcie_sharers)
         self.device = contended_device(self.base_device, self.spec.sharers)
-        #: content-addressed compiled-plan cache
-        #: (:class:`repro.optimizer.plancache.PlanCache`): the distribution
-        #: rewrite is reused across runs of the same (plan, stats) on the
-        #: same cluster shape, and per-shard Executors share the cache
-        self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
-    def distribute(self, plan: Plan,
-                   source_rows: dict[str, int]) -> DistributedPlan:
-        cfg = self.config
-        key = None
-        if self.plan_cache is not None:
-            from ..optimizer.fingerprint import (calibration_fingerprint,
-                                                 cluster_fingerprint,
-                                                 plan_fingerprint)
-            key = self.plan_cache.key(
-                "distributed", plan_fingerprint(plan), source_rows,
-                calibration_fingerprint(self.base_device),
-                cluster_fingerprint(cfg.num_devices, cfg.scheme, cfg.seed,
-                                    self.spec.sharers),
-                cfg.preagg, cfg.merge)
-            hit = self.plan_cache.get(key)
-            # the dist rewrite holds node references into the plan object:
-            # only reusable when it is literally the same plan
-            if hit is not None and hit.plan is plan:
-                return hit
-        dist = distribute_plan(
-            plan, source_rows, cfg.num_devices,
-            scheme=cfg.scheme, seed=cfg.seed,
-            preagg=cfg.preagg, merge=cfg.merge)
-        if self.plan_cache is not None:
-            self.plan_cache.put(key, dist)
-        return dist
-
     def _as_dist(self, plan, source_rows) -> DistributedPlan:
         if isinstance(plan, DistributedPlan):
             return plan
-        return self.distribute(plan, source_rows)
+        cfg = self.config
+        return distribute_plan(
+            plan, source_rows, cfg.num_devices,
+            scheme=cfg.scheme, seed=cfg.seed,
+            preagg=cfg.preagg, merge=cfg.merge)
 
     # ------------------------------------------------------------------
     # timing path
@@ -660,8 +631,7 @@ class ClusterExecutor:
                       injector: FaultInjector | None) -> RunResult:
         ex = Executor(self.device, costs=self.costs, check=self.config.check,
                       faults=injector,
-                      degrade=True if injector is not None else None,
-                      plan_cache=self.plan_cache)
+                      degrade=True if injector is not None else None)
         return ex.run(plan, rows,
                       ExecutionConfig(strategy=self.config.strategy))
 

@@ -12,8 +12,8 @@ The pieces (docs/OPTIMIZER.md):
 * :mod:`~repro.optimizer.optimizer` -- the chooser: priced, explainable
   :class:`Decision` per (query, stats, device count), simulator-refined;
 * :mod:`~repro.optimizer.plancache` -- the bounded content-addressed
-  LRU (plan hash + stats digest + calibration/cluster fingerprint) the
-  executors and the serve path share;
+  LRU (plan hash + stats digest + calibration/cluster fingerprint) that
+  holds optimizer decisions, memory verdicts and serve dispatches;
 * :mod:`~repro.optimizer.fingerprint` -- the canonical hashing under
   all of it.
 """

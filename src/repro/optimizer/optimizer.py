@@ -162,8 +162,9 @@ class Optimizer:
                  pcie_sharers: int | None = None):
         self.device = device or DeviceSpec()
         self.costs = costs
-        #: shared plan cache: decisions land here, and the executors this
-        #: optimizer spawns reuse it for their compiled artifacts
+        #: plan cache for this optimizer's ``decision:*`` choices and
+        #: ``absint:*`` memory verdicts (the executors it spawns keep
+        #: nothing: size estimation, fusion and distribution re-run)
         self.cache = cache
         #: refine analytic prices with the simulator (authoritative)
         self.simulate = simulate
@@ -270,7 +271,7 @@ class Optimizer:
                 return res.makespan, True, notes
             from ..cluster.executor import ClusterConfig, ClusterExecutor
             cx = ClusterExecutor(
-                self.device, costs=self.costs, plan_cache=self.cache,
+                self.device, costs=self.costs,
                 config=ClusterConfig(
                     num_devices=option.devices, scheme=option.scheme,
                     seed=self.cluster_seed, strategy=option.strategy,
@@ -284,10 +285,8 @@ class Optimizer:
 
     def _executor(self, faults=None, check: bool = False,
                   analyze: bool = False) -> Executor:
-        ex = Executor(self.device, costs=self.costs, check=check,
-                      faults=faults, analyze=analyze,
-                      plan_cache=self.cache)
-        return ex
+        return Executor(self.device, costs=self.costs, check=check,
+                        faults=faults, analyze=analyze)
 
     # ------------------------------------------------------------------
     def run(self, plan: Plan, source_rows: dict[str, int] | None = None,
@@ -321,7 +320,7 @@ class Optimizer:
         else:
             from ..cluster.executor import ClusterConfig, ClusterExecutor
             cx = ClusterExecutor(
-                self.device, costs=self.costs, plan_cache=self.cache,
+                self.device, costs=self.costs,
                 config=ClusterConfig(
                     num_devices=option.devices, scheme=option.scheme,
                     seed=self.cluster_seed, strategy=option.strategy,

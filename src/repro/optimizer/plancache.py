@@ -1,14 +1,17 @@
-"""The content-addressed compiled-plan cache.
+"""The content-addressed plan cache.
 
 A bounded LRU keyed by sha256 digests (:func:`repro.optimizer.fingerprint
 .digest`) of plan hash + stats digest + calibration / cluster
 fingerprints.  Three artifact families share one cache:
 
 * ``decision:*`` -- whole optimizer decisions (strategy choice + prices),
-* ``compiled:*`` -- the Executor's per-(plan, stats, strategy) size map
-  and fusion result (skips re-planning on repeat runs),
+* ``absint:*``   -- per-strategy static memory verdicts, so a re-priced
+  decision skips the abstract interpreter,
 * ``serve:*``    -- fully-priced serve dispatches (makespan + timeline),
   so a repeat batch skips planning, analysis, and simulation entirely.
+
+Size estimation, fusion and the distribution rewrite are not cached:
+re-running them costs less than hashing the plan to look them up.
 
 Every entry stores a checksum of its value at ``put`` time; ``get``
 re-verifies it, so a corrupted entry (bit-flip, in-place mutation by a

@@ -119,8 +119,7 @@ class Executor:
                  check: bool = False,
                  faults: "FaultPlan | FaultInjector | None" = None,
                  degrade: bool | None = None,
-                 analyze: bool = False,
-                 plan_cache=None):
+                 analyze: bool = False):
         self.device = device or DeviceSpec()
         self.costs = costs
         self.cost_model = cost_model
@@ -139,55 +138,26 @@ class Executor:
         #: None means "degrade iff faults are enabled"
         self.degrade = degrade
         self._injector: FaultInjector | None = None
-        #: content-addressed compiled-plan cache
-        #: (:class:`repro.optimizer.plancache.PlanCache`): size estimation,
-        #: fusion, and their static pre-flight are reused across runs of
-        #: the same (plan, stats, strategy) on the same calibration
-        self.plan_cache = plan_cache
-        self._device_fp: str | None = None
 
     # ------------------------------------------------------------------
     def _analyzer(self):
         from ..analyze import Analyzer
         return Analyzer(self.device, self.costs)
 
-    def _calibration_fp(self) -> str:
-        if self._device_fp is None:
-            from ..optimizer.fingerprint import calibration_fingerprint
-            self._device_fp = calibration_fingerprint(self.device)
-        return self._device_fp
-
     def _compiled(self, plan: Plan, source_rows: dict[str, int] | None,
                   config: ExecutionConfig):
-        """Size estimation + fusion (+ the fusion pre-flight), cached by
-        content.  Cache hits verify the stored plan is the *same object*:
-        the scheduler compares plan nodes by identity, so a fusion result
-        is only reusable for the plan object that produced it."""
-        cache = self.plan_cache
-        key = None
-        if cache is not None:
-            from ..optimizer.fingerprint import plan_fingerprint
-            key = cache.key(
-                "compiled", plan_fingerprint(plan), source_rows or {},
-                self._calibration_fp(), config.strategy.value,
-                self.cost_model is not None, self.analyze)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is plan:
-                _, sizes, fusion, reports = hit
-                self._analysis_reports.extend(reports)
-                return sizes, fusion
+        """Size estimation + fusion (+ the fusion pre-flight), recomputed
+        on every run: both are cheap next to simulating the schedule, and
+        ``Plan`` is mutable, so nothing derived from it is kept."""
         sizes = estimate_sizes(plan, source_rows or {})
         fusion = fuse_plan(
             plan,
             cost_model=self.cost_model if config.strategy.uses_fusion else None,
             enable=config.strategy.uses_fusion,
         )
-        reports: list = []
         if self.analyze:
-            reports.append(self._analyzer().run(fusion, strict=True))
-            self._analysis_reports.extend(reports)
-        if cache is not None:
-            cache.put(key, (plan, sizes, fusion, reports))
+            self._analysis_reports.append(
+                self._analyzer().run(fusion, strict=True))
         return sizes, fusion
 
     def run(self, plan: Plan, source_rows: dict[str, int] | None = None,

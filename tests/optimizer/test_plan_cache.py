@@ -1,5 +1,5 @@
-"""Compiled-plan cache correctness: hits, perturbation misses, eviction,
-corruption.
+"""Plan cache correctness: hits, perturbation misses, eviction,
+corruption; and executors that keep no plan-derived artifacts.
 
 The load-bearing properties: a hit is only served for a byte-identical
 (plan, stats, platform, cluster shape) key; *any* perturbation of those
@@ -115,16 +115,77 @@ class TestDecisionCacheHits:
         assert opt.choose(select_chain_plan(2), ROWS).cache_hit
 
 
-class TestCompiledArtifactCache:
-    def test_executor_reuses_compiled_fusion(self):
-        from repro.runtime import ExecutionConfig, Executor, Strategy
+class TestAbsintVerdictCorruption:
+    def test_corrupted_memory_verdict_detected_and_recomputed(self):
+        from repro.runtime import Strategy
         cache = PlanCache()
-        ex = Executor(plan_cache=cache)
+        opt = Optimizer(cache=cache)
+        plan = select_chain_plan(2)
+        first = opt.choose(plan, ROWS)
+        key = PlanCache.key("absint", first.plan_fp, first.stats_digest,
+                            first.calibration_fp, Strategy.FUSED.value)
+        verdict = cache.get(key)
+        assert verdict is not None
+        cache._corrupt(key)
+        # drop the decision so the next choose() re-reads its verdicts
+        cache.invalidate(first.cache_key)
+        recomputed = opt.choose(plan, ROWS)
+        assert not recomputed.cache_hit
+        assert cache.corruptions == 1
+        assert _summary_json(recomputed) == _summary_json(first)
+        assert (_summary_json(recomputed)
+                == _summary_json(Optimizer().choose(plan, ROWS)))
+        # the repaired entry holds a freshly computed, equal verdict
+        assert cache.get(key) == verdict
+
+
+def _node(plan, name: str):
+    return next(n for n in plan.nodes if n.name == name)
+
+
+class TestExecutorsKeepNoArtifacts:
+    """Executors recompute size estimation, fusion and the distribution
+    rewrite on every run: repeats agree exactly, and an in-place edit to
+    the plan between runs is always seen."""
+
+    def test_executor_repeat_runs_identical(self):
+        from repro.runtime import ExecutionConfig, Executor, Strategy
+        ex = Executor()
         plan = select_chain_plan(2)
         cfg = ExecutionConfig(strategy=Strategy.FUSED)
         a = ex.run(plan, ROWS, cfg)
-        hits_before = cache.hits
         b = ex.run(plan, ROWS, cfg)
-        assert cache.hits > hits_before
         assert a.makespan == b.makespan
+        assert a.timeline.events == b.timeline.events
 
+    def test_cluster_executor_repeat_runs_identical(self):
+        from repro.cluster import ClusterConfig, ClusterExecutor
+        cx = ClusterExecutor(config=ClusterConfig(num_devices=4))
+        plan = select_chain_plan(2)
+        a = cx.run(plan, ROWS)
+        b = cx.run(plan, ROWS)
+        assert a.makespan == b.makespan
+        assert (a.merged_timeline().events
+                == b.merged_timeline().events)
+
+    def test_in_place_selectivity_edit_is_never_served_stale(self):
+        from repro.cluster import ClusterConfig, ClusterExecutor
+        from repro.runtime import ExecutionConfig, Executor, Strategy
+        ex = Executor()
+        cx = ClusterExecutor(config=ClusterConfig(num_devices=4))
+        cfg = ExecutionConfig(strategy=Strategy.FUSED)
+        plan = select_chain_plan(2)
+        before = ex.run(plan, ROWS, cfg)
+        before_cluster = cx.run(plan, ROWS)
+        _node(plan, "select0").selectivity = 0.1
+        after = ex.run(plan, ROWS, cfg)
+        after_cluster = cx.run(plan, ROWS)
+        assert after.n_out != before.n_out
+        assert after.makespan != before.makespan
+        assert after_cluster.makespan != before_cluster.makespan
+        # and the edited plan runs exactly like one built that way
+        fresh = select_chain_plan(2)
+        _node(fresh, "select0").selectivity = 0.1
+        assert after.makespan == Executor().run(fresh, ROWS, cfg).makespan
+        assert after_cluster.makespan == ClusterExecutor(
+            config=ClusterConfig(num_devices=4)).run(fresh, ROWS).makespan

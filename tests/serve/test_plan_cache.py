@@ -89,6 +89,27 @@ class TestCacheIsBehaviorNeutral:
         assert len(result.segments) == 10
 
 
+class TestDispatchCorruption:
+    def test_corrupted_dispatch_detected_and_recomputed(self):
+        trace = _repeat_trace(10, spacing=0.001)
+        cache = PlanCache()
+        cfg = ServeConfig(mode="isolated", plan_cache=cache)
+        first = QueryServer(config=cfg).run(trace=list(trace))
+        assert cache.misses == 1
+        server = QueryServer(config=cfg)
+        key = server.engine.dispatch_key([trace[0]], None)
+        assert key in cache
+        cache._corrupt(key)
+        again = server.run(trace=list(trace))
+        assert cache.corruptions == 1
+        assert cache.misses == 2       # the corrupted entry read as a miss
+        assert cache.get(key) is not None     # recomputed and re-cached
+        without = QueryServer(config=ServeConfig(
+            mode="isolated")).run(trace=list(trace))
+        assert _summary_json(again) == _summary_json(first)
+        assert _summary_json(again) == _summary_json(without)
+
+
 class TestChaosNeverCached:
     def test_degraded_dispatches_not_served_from_cache(self):
         from repro.faults import FaultPlan
