@@ -66,7 +66,12 @@ def digest(*parts: Any) -> str:
 
 def plan_fingerprint(plan: Plan) -> str:
     """Hash of the plan DAG: ops, edges (by node name), parameters, and
-    the cardinality annotations the timing model trusts."""
+    the cardinality annotations the timing model trusts.  A frozen plan
+    is hashed once; later calls are a lookup."""
+    return plan.memo("fingerprint", lambda: _plan_digest(plan))
+
+
+def _plan_digest(plan: Plan) -> str:
     items = []
     for node in plan.topological():
         items.append((

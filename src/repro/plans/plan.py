@@ -5,6 +5,11 @@ executor runs.  Nodes carry the operator type, its parameters (predicate,
 fields, expressions, ...), and an output-cardinality estimate used when the
 workload is *virtual* (timing-only, no materialized arrays -- needed for
 the paper's multi-billion-element experiments).
+
+A plan that is built once and run many times (the serving catalog) is
+*frozen* with :meth:`Plan.freeze`: it is validated once, its graph
+queries become lookups, and any later edit raises :class:`PlanError`.
+Rewrites clone before they edit, so they accept frozen inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import PlanError
 from ..ra.expr import Expr, Predicate
@@ -71,6 +76,17 @@ class PlanNode:
         return f"PlanNode({self.op.value}:{self.name} <- [{ins}])"
 
 
+class _FrozenPlanNode(PlanNode):
+    """The class :meth:`Plan.freeze` gives each node of a frozen plan:
+    setting an attribute raises.  Only frozen nodes pay for the check,
+    so building plans stays as cheap as before."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise PlanError(
+            f"node {self.name!r} belongs to a frozen plan; clone the plan "
+            f"to edit it")
+
+
 class Plan:
     """A DAG of :class:`PlanNode` built through a fluent API.
 
@@ -79,13 +95,74 @@ class Plan:
     >>> sel = plan.select(src, Field("f0") < 10, selectivity=0.5)
     """
 
+    _frozen = False
+
     def __init__(self, name: str = "plan"):
         self.name = name
         self.nodes: list[PlanNode] = []
         self._counter = itertools.count()
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._frozen:
+            raise PlanError(f"plan {self.name!r} is frozen; clone it to edit it")
+        object.__setattr__(self, name, value)
+
+    # -- freezing ---------------------------------------------------------------
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def freeze(self) -> "Plan":
+        """Validate once and make the plan immutable; returns ``self``.
+
+        The topological order, the consumers of every node, the sinks and
+        the sources are computed here, so the graph queries below become
+        lookups.  Afterwards adding a node, setting a node attribute, or
+        writing to a node's ``params`` / ``inputs`` (or to a list or dict
+        nested in ``params``) raises :class:`PlanError`.  Derived values
+        may be memoised on the plan through :meth:`memo`.
+        """
+        if self._frozen:
+            return self
+        self.validate()
+        consumers: dict[int, list[PlanNode]] = {id(n): [] for n in self.nodes}
+        for node in self.nodes:
+            for inp in node.inputs:
+                users = consumers[id(inp)]
+                if not users or users[-1] is not node:   # once per consumer
+                    users.append(node)
+        self._order = tuple(self._walk())
+        self._consumers = {k: tuple(v) for k, v in consumers.items()}
+        self._sinks = tuple(n for n in self.nodes if not consumers[id(n)])
+        self._sources = tuple(n for n in self.nodes if n.op is OpType.SOURCE)
+        for node in self.nodes:
+            node.params = _freeze_value(node.params)
+            node.inputs = _FrozenList(node.inputs)
+            node.__class__ = _FrozenPlanNode
+        self.nodes = _FrozenList(self.nodes)
+        #: values derived from the frozen plan (see :meth:`memo`)
+        self._memo: dict[Any, Any] = {}
+        object.__setattr__(self, "_frozen", True)
+        return self
+
+    def memo(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()``, stored under ``key`` the first time on a frozen
+        plan and looked up afterwards.  An unfrozen plan may be edited in
+        place at any time, so it recomputes on every call and stores
+        nothing: a stale value is never served."""
+        if not self._frozen:
+            return compute()
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
     # -- builders -------------------------------------------------------------
     def _add(self, node: PlanNode) -> PlanNode:
+        if self._frozen:
+            raise PlanError(
+                f"cannot add {node.name!r}: plan {self.name!r} is frozen")
         for inp in node.inputs:
             if inp not in self.nodes:
                 raise PlanError(f"input {inp.name} of {node.name} not in this plan")
@@ -246,38 +323,59 @@ class Plan:
 
     # -- graph queries ----------------------------------------------------------
     def consumers(self, node: PlanNode) -> list[PlanNode]:
+        if self._frozen:
+            return list(self._consumers.get(id(node), ()))
         return [n for n in self.nodes if node in n.inputs]
 
     def sinks(self) -> list[PlanNode]:
         """Nodes nothing consumes, in plan order (one pass over the edges)."""
+        if self._frozen:
+            return list(self._sinks)
         consumed = {inp for n in self.nodes for inp in n.inputs}
         return [n for n in self.nodes if n not in consumed]
 
     def sources(self) -> list[PlanNode]:
+        if self._frozen:
+            return list(self._sources)
         return [n for n in self.nodes if n.op is OpType.SOURCE]
 
     def topological(self) -> Iterator[PlanNode]:
         """Nodes in dependency order (inputs before consumers)."""
+        if self._frozen:
+            return iter(self._order)
+        return iter(self._walk())
+
+    def _walk(self) -> list[PlanNode]:
+        """Depth-first post-order over ``nodes``; raises on a cycle with
+        the path from the first revisited node back to itself."""
         seen: set[int] = set()
+        on_stack: set[int] = set()
+        stack: list[PlanNode] = []
         order: list[PlanNode] = []
 
-        def visit(node: PlanNode, stack: tuple[PlanNode, ...]) -> None:
+        def visit(node: PlanNode) -> None:
             nid = id(node)
-            if any(nid == id(s) for s in stack):
-                start = next(i for i, s in enumerate(stack) if id(s) == nid)
+            if nid in on_stack:
+                start = next(i for i, s in enumerate(stack) if s is node)
                 path = " -> ".join(n.name for n in stack[start:])
                 raise PlanError(
                     f"cycle through {node.name}: {path} -> {node.name}")
-            if nid in seen:
-                return
+            on_stack.add(nid)
+            stack.append(node)
             for inp in node.inputs:
-                visit(inp, stack + (node,))
+                # a finished node is never on the stack, so skipping it
+                # here cannot hide a cycle
+                if id(inp) not in seen:
+                    visit(inp)
+            stack.pop()
+            on_stack.discard(nid)
             seen.add(nid)
             order.append(node)
 
         for node in self.nodes:
-            visit(node, ())
-        return iter(order)
+            if id(node) not in seen:
+                visit(node)
+        return order
 
     def structural_issues(self) -> list[StructuralIssue]:
         """Every structural problem in the plan, as structured records.
@@ -289,8 +387,11 @@ class Plan:
         :mod:`repro.analyze` report verbatim, so error text is identical
         on both paths.
         """
+        if self._frozen:
+            return []       # validated by freeze(), and immutable since
         issues: list[StructuralIssue] = []
         names: dict[str, PlanNode] = {}
+        members = {id(n) for n in self.nodes}
         for node in self.nodes:
             expected = OP_ARITY[node.op]
             if len(node.inputs) != expected:
@@ -299,7 +400,7 @@ class Plan:
                     f"node {node.name!r}: {node.op.value} needs {expected} "
                     f"inputs, has {len(node.inputs)}"))
             for i, inp in enumerate(node.inputs):
-                if inp not in self.nodes:
+                if id(inp) not in members:
                     issues.append(StructuralIssue(
                         "dangling", node,
                         f"node {node.name!r}: input #{i} ({inp.name!r}) is "
@@ -311,14 +412,17 @@ class Plan:
                     f"(ops {names[node.name].op.value} and {node.op.value})"))
             names.setdefault(node.name, node)
         try:
-            list(self.topological())
+            self._walk()
         except PlanError as err:
             issues.append(StructuralIssue("cycle", None, str(err)))
         return issues
 
     def validate(self) -> None:
         """Raise PlanError on structural problems, naming the offending
-        node (and input index, where one is involved)."""
+        node (and input index, where one is involved).  A frozen plan was
+        validated when it was frozen."""
+        if self._frozen:
+            return
         issues = self.structural_issues()
         if issues:
             raise PlanError(issues[0].message)
@@ -342,3 +446,41 @@ class StructuralIssue:
     kind: str                 # arity | duplicate | dangling | cycle
     node: PlanNode | None
     message: str
+
+
+# ---------------------------------------------------------------------------
+# frozen containers
+# ---------------------------------------------------------------------------
+
+def _frozen_error(self, *args, **kwargs):
+    raise PlanError("cannot edit a frozen plan; clone the plan to edit it")
+
+
+class _FrozenList(list):
+    """A list that raises :class:`PlanError` on every in-place edit.  It
+    still compares, renders and iterates as a plain list, and ``list(x)``
+    is a plain, editable copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _frozen_error
+    append = extend = insert = pop = remove = clear = _frozen_error
+    sort = reverse = _frozen_error
+
+
+class _FrozenDict(dict):
+    """A dict that raises :class:`PlanError` on every in-place edit; like
+    :class:`_FrozenList` it is a plain dict in every other respect."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _frozen_error
+    update = pop = popitem = clear = setdefault = _frozen_error
+
+
+def _freeze_value(value: Any) -> Any:
+    """Plain lists and dicts (recursively) as their frozen variants;
+    every other value is returned as is."""
+    if type(value) is list:
+        return _FrozenList(_freeze_value(v) for v in value)
+    if type(value) is dict:
+        return _FrozenDict((k, _freeze_value(v)) for k, v in value.items())
+    return value

@@ -35,11 +35,22 @@ from ..core.opmodels import chain_for_region, out_row_nbytes
 from ..errors import PlanError
 from ..faults import as_injector
 from ..plans.plan import OpType, Plan, PlanNode
+from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import Timeline
 from .sizes import estimate_sizes
+
+#: one queued kernel launch: ``stream.kernel(spec, tag=, reads=, writes=)``
+Launch = tuple[KernelLaunchSpec, str, tuple[str, ...], tuple[str, ...]]
+#: one queued input upload: ``stream.h2d(nbytes, memory, tag=, writes=)``
+Upload = tuple[float, str, tuple[str, ...]]
+
+
+def _replay(stream, launches: tuple[Launch, ...]) -> None:
+    for spec, tag, reads, writes in launches:
+        stream.kernel(spec, tag=tag, reads=reads, writes=writes)
 
 
 @dataclass
@@ -121,24 +132,55 @@ class WorkloadScheduler:
         #: static pre-flight: race-check each batched stream program before
         #: it runs; error findings raise :class:`~repro.errors.AnalysisError`
         self.analyze = analyze
+        #: batch shape -> (uploaded bytes, lead uploads, shared-scan
+        #: launches, per-query templates); see enqueue_batched_streams
+        self._batches: dict[tuple, tuple] = {}
 
     def _engine(self) -> SimEngine:
         return SimEngine(self.device, check=self.check,
                          faults=as_injector(self.faults))
 
-    # -- helpers ----------------------------------------------------------
-    def _emit_query_kernels(self, stream, plan: Plan,
-                            sizes: dict[str, int],
-                            skip: set[str] = frozenset(),
-                            only_prefix: str | None = None) -> None:
-        """Queue every non-fused kernel of `plan` onto `stream` (a
-        :class:`SimStream` or pooled stream).  `only_prefix` restricts the
-        emission to nodes of one query in a merged workload plan."""
+    # -- emission ----------------------------------------------------------
+    # Every regime lowers a query the same way: build its launches once as
+    # a template of ``(spec, tag, reads, writes)`` commands, then replay the
+    # template onto a stream.  A frozen plan keeps its templates (see
+    # :meth:`Plan.memo`); an unfrozen one is rebuilt on every call.
+    def _emit_query_kernels(self, stream, plan: Plan, graph: Plan,
+                            sizes: dict[str, int], position: int | None = None,
+                            skip: frozenset[str] = frozenset()
+                            ) -> tuple[Launch, ...]:
+        """Queue every non-fused kernel of query `plan` onto `stream` (a
+        :class:`SimStream` or pooled stream); returns the launches queued.
+
+        `graph` holds the nodes to lower: `plan` itself (``position`` None)
+        or the merged workload plan, in which the query's nodes are named
+        ``q{position}.*``.  The template is keyed by the lane device, the
+        batch position, the size and row width of every source the query
+        reads and the nodes `skip` covers (shared-scan outputs): everything
+        the launches depend on besides the plan itself."""
+        prefix = "" if position is None else f"q{position}."
+        if prefix:
+            skip = frozenset(n for n in skip if n.startswith(prefix))
+        names = {s.name for s in plan.sources()}
+        inputs = tuple((s.name, sizes[s.name], s.out_row_nbytes)
+                       for s in graph.sources() if s.name in names)
+        key = ("emission", self.device, position, inputs, skip)
+        template = plan.memo(
+            key, lambda: self._query_launches(graph, sizes, prefix, skip))
+        _replay(stream, template)
+        return template
+
+    def _query_launches(self, graph: Plan, sizes: dict[str, int],
+                        prefix: str, skip: frozenset[str]
+                        ) -> tuple[Launch, ...]:
+        """The launches of every non-source node of `graph` named with
+        `prefix` and not in `skip`, in dependency order."""
         from ..core.opmodels import FUSABLE_OPS, chain_for_node
-        for node in plan.topological():
+        out: list[Launch] = []
+        for node in graph.topological():
             if node.op is OpType.SOURCE or node.name in skip:
                 continue
-            if only_prefix is not None and not node.name.startswith(only_prefix):
+            if not node.name.startswith(prefix):
                 continue
             primary = node.inputs[0]
             n_in = sizes[primary.name]
@@ -151,24 +193,63 @@ class WorkloadScheduler:
             reads = tuple(i.name for i in node.inputs)
             if chain.side_kernels:
                 reads += (f"{node.name}.build",)
+            side_reads = tuple(i.name for i in node.inputs[1:])
+            build = (f"{node.name}.build",)
             for spec in chain.side_launch_specs(self.device, side_sizes):
-                stream.kernel(spec, tag=spec.name,
-                              reads=tuple(i.name for i in node.inputs[1:]),
-                              writes=(f"{node.name}.build",))
+                out.append((spec, spec.name, side_reads, build))
             for spec in chain.main_launch_specs(max(n_in, 1), self.device):
-                stream.kernel(spec, tag=spec.name, reads=reads,
-                              writes=(node.name,))
+                out.append((spec, spec.name, reads, (node.name,)))
+        return tuple(out)
 
-    def _upload(self, stream, plan: Plan,
-                sizes: dict[str, int]) -> float:
+    def _uploads(self, plan: Plan, sizes: dict[str, int]
+                 ) -> tuple[float, tuple[Upload, ...]]:
+        """(total input bytes, one H2D per non-empty source of `plan`)."""
         total = 0.0
+        out: list[Upload] = []
         for src in plan.sources():
             nbytes = float(sizes[src.name]) * out_row_nbytes(src)
             total += nbytes
             if nbytes > 0:
-                stream.h2d(nbytes, self.memory, tag=f"input.{src.name}",
-                           writes=(src.name,))
+                out.append((nbytes, f"input.{src.name}", (src.name,)))
+        return total, tuple(out)
+
+    def _upload(self, stream, plan: Plan, sizes: dict[str, int]) -> float:
+        total, uploads = self._uploads(plan, sizes)
+        self._replay_uploads(stream, uploads)
         return total
+
+    def _replay_uploads(self, stream, uploads: tuple[Upload, ...]) -> None:
+        for nbytes, tag, writes in uploads:
+            stream.h2d(nbytes, self.memory, tag=tag, writes=writes)
+
+    def _shared_scan_launches(self, merged: Plan, sizes: dict[str, int]
+                              ) -> tuple[tuple[Launch, ...], frozenset[str]]:
+        """The shared-scan launches for every multi-query SELECT group,
+        and the names of the SELECT nodes they cover."""
+        out: list[Launch] = []
+        fused_names: set[str] = set()
+        for raw_group in find_shared_select_groups(merged):
+            for group in split_group_by_registers(raw_group):
+                if len(group.selects) < 2:
+                    continue  # singleton remainder: leave to the per-query path
+                chain = chain_for_shared_scan(group)
+                n_in = sizes[group.producer.name]
+                select_names = tuple(s.name for s in group.selects)
+                reads = (group.producer.name,)
+                for spec in chain.main_launch_specs(max(n_in, 1), self.device):
+                    out.append((spec, spec.name, reads, select_names))
+                fused_names.update(select_names)
+        return tuple(out), frozenset(fused_names)
+
+    def _emit_remainders(self, streams, workload: QueryWorkload, merged: Plan,
+                         sizes: dict[str, int], skip: frozenset[str] = frozenset()
+                         ) -> tuple[tuple[Launch, ...], ...]:
+        """Each query's kernels, query ``qi`` onto ``streams[qi % len]``;
+        returns the per-query templates."""
+        return tuple(
+            self._emit_query_kernels(streams[qi % len(streams)], plan, merged,
+                                     sizes, position=qi, skip=skip)
+            for qi, plan in enumerate(workload.plans))
 
     # -- regimes -------------------------------------------------------------
     def run_isolated(self, workload: QueryWorkload,
@@ -179,7 +260,7 @@ class WorkloadScheduler:
         for plan in workload.plans:
             sizes = estimate_sizes(plan, source_rows)
             total += self._upload(stream, plan, sizes)
-            self._emit_query_kernels(stream, plan, sizes)
+            self._emit_query_kernels(stream, plan, plan, sizes)
         tl = self._engine().run([stream])
         return WorkloadRunResult("isolated", tl, total)
 
@@ -190,28 +271,9 @@ class WorkloadScheduler:
         sizes = estimate_sizes(merged, source_rows)
         stream = SimStream(stream_id=0)
         total = self._upload(stream, merged, sizes)
-        self._emit_query_kernels(stream, merged, sizes)
+        self._emit_remainders([stream], workload, merged, sizes)
         tl = self._engine().run([stream])
         return WorkloadRunResult("shared_source", tl, total)
-
-    def _emit_shared_scans(self, stream, merged: Plan,
-                           sizes: dict[str, int]) -> set[str]:
-        """Queue the shared-scan kernels for every multi-query SELECT group;
-        returns the names of the SELECT nodes they cover."""
-        fused_names: set[str] = set()
-        for raw_group in find_shared_select_groups(merged):
-            for group in split_group_by_registers(raw_group):
-                if len(group.selects) < 2:
-                    continue  # singleton remainder: leave to the per-query path
-                chain = chain_for_shared_scan(group)
-                n_in = sizes[group.producer.name]
-                select_names = tuple(s.name for s in group.selects)
-                for spec in chain.main_launch_specs(max(n_in, 1), self.device):
-                    stream.kernel(spec, tag=spec.name,
-                                  reads=(group.producer.name,),
-                                  writes=select_names)
-                fused_names.update(select_names)
-        return fused_names
 
     def run_cross_query_fused(self, workload: QueryWorkload,
                               source_rows: dict[str, int]) -> WorkloadRunResult:
@@ -220,8 +282,10 @@ class WorkloadScheduler:
         sizes = estimate_sizes(merged, source_rows)
         stream = SimStream(stream_id=0)
         total = self._upload(stream, merged, sizes)
-        fused_names = self._emit_shared_scans(stream, merged, sizes)
-        self._emit_query_kernels(stream, merged, sizes, skip=fused_names)
+        scans, fused_names = self._shared_scan_launches(merged, sizes)
+        _replay(stream, scans)
+        self._emit_remainders([stream], workload, merged, sizes,
+                              skip=fused_names)
         tl = self._engine().run([stream])
         return WorkloadRunResult("cross_query_fused", tl, total)
 
@@ -260,11 +324,15 @@ class WorkloadScheduler:
         Returns ``(pool, uploaded_bytes)`` with every command enqueued:
         what :meth:`run_batched_streams` hands to the engine, and what the
         static analyzer's stream race detector inspects.
+
+        When every plan of the batch is frozen, the lead stream's uploads
+        and shared-scan launches are memoised per batch shape (plans, row
+        counts, worker streams), together with references to the queries'
+        templates: a repeat shape replays them without merging the plans,
+        estimating sizes or grouping shared scans.
         """
         from ..streampool import StreamPool
 
-        merged = workload.merged_plan()
-        sizes = estimate_sizes(merged, source_rows)
         n_workers = max(1, min(max_streams, len(workload.plans)))
         if pool is None:
             pool = StreamPool(self.device, num_streams=1 + n_workers,
@@ -274,18 +342,35 @@ class WorkloadScheduler:
             # each batch gets its own deterministic injector state
             pool.engine = self._engine()
 
+        shape = None
+        if all(p.frozen for p in workload.plans):
+            shape = (tuple(workload.plans), tuple(sorted(source_rows.items())),
+                     n_workers, self.device, self.memory)
+        program = self._batches.get(shape) if shape is not None else None
+
         lead = pool.get_available_stream()
-        total = self._upload(lead, merged, sizes)
-        fused_names = self._emit_shared_scans(lead, merged, sizes)
+        if program is None:
+            merged = workload.merged_plan()
+            sizes = estimate_sizes(merged, source_rows)
+            total, uploads = self._uploads(merged, sizes)
+            scans, fused_names = self._shared_scan_launches(merged, sizes)
+        else:
+            total, uploads, scans, templates = program
+        self._replay_uploads(lead, uploads)
+        _replay(lead, scans)
 
         workers = [pool.get_available_stream() for _ in range(n_workers)]
         for w in workers:
             if w is not lead:
                 pool.select_wait(w, lead)
-        for qi in range(len(workload.plans)):
-            stream = workers[qi % n_workers]
-            self._emit_query_kernels(stream, merged, sizes, skip=fused_names,
-                                     only_prefix=f"q{qi}.")
+        if program is None:
+            templates = self._emit_remainders(workers, workload, merged,
+                                              sizes, skip=fused_names)
+            if shape is not None:
+                self._batches[shape] = (total, uploads, scans, templates)
+        else:
+            for qi, template in enumerate(templates):
+                _replay(workers[qi % n_workers], template)
         return pool, total
 
     def compare(self, workload: QueryWorkload, source_rows: dict[str, int]

@@ -52,7 +52,15 @@ _SQL_LINEITEM = (("orderkey", "int"), ("returnflag", "int"),
 
 @lru_cache(maxsize=None)
 def catalog_plan(kind: str) -> Plan:
-    """The (cached, immutable) logical plan for a catalog query kind."""
+    """The (cached, immutable) logical plan for a catalog query kind.
+
+    The plan is frozen (:meth:`Plan.freeze`): it is validated once, its
+    graph queries are lookups, and the serving path memoises its kernel
+    emission on it."""
+    return _build_catalog_plan(kind).freeze()
+
+
+def _build_catalog_plan(kind: str) -> Plan:
     if kind == "q1":
         return build_q1_plan()
     if kind == "q6":

@@ -1,5 +1,6 @@
 """Tests for the logical-plan builder and graph utilities."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlanError
@@ -135,3 +136,252 @@ class TestGraphQueries:
         n = plan.unique(n)
         plan.aggregate(n, [], {"c": AggSpec("count")})
         plan.validate()
+
+
+def _fuzz_and_tpch_plans():
+    """The 60-seed fuzz corpus and the 22 frontend-compiled TPC-H plans."""
+    for seed in range(60):
+        yield f"fuzz_{seed}", random_plan_case(seed).plan
+    for name, sql in sorted(QUERIES.items()):
+        yield name, compile_sql(sql, CATALOG, name=name).plan
+
+
+def _oracle_topological(plan):
+    """The original depth-first walk (tuple stack, linear `any` scan per
+    visit), kept as the oracle for :meth:`Plan.topological`."""
+    seen, order = set(), []
+
+    def visit(node, stack):
+        nid = id(node)
+        if any(nid == id(s) for s in stack):
+            start = next(i for i, s in enumerate(stack) if id(s) == nid)
+            path = " -> ".join(n.name for n in stack[start:])
+            raise PlanError(
+                f"cycle through {node.name}: {path} -> {node.name}")
+        if nid in seen:
+            return
+        for inp in node.inputs:
+            visit(inp, stack + (node,))
+        seen.add(nid)
+        order.append(node)
+
+    for node in plan.nodes:
+        visit(node, ())
+    return order
+
+
+def _oracle_dangling(plan):
+    """The original list-membership dangling-input check."""
+    return [f"node {node.name!r}: input #{i} ({inp.name!r}) is "
+            f"not part of plan {plan.name!r}"
+            for node in plan.nodes for i, inp in enumerate(node.inputs)
+            if inp not in plan.nodes]
+
+
+def _cycle_plans():
+    """The cycle shapes the suite builds: a two-node back edge, a
+    self-loop, and a back edge into a diamond with a second source."""
+    plan = Plan("two")
+    s = plan.source("t")
+    a = plan.select(s, Field("x") < 1, name="a")
+    b = plan.select(a, Field("x") < 2, name="b")
+    a.inputs[0] = b
+    yield plan
+    plan = Plan("self")
+    s = plan.source("t")
+    a = plan.select(s, Field("x") < 1, name="a")
+    a.inputs[0] = a
+    yield plan
+    plan = Plan("diamond")
+    s = plan.source("t")
+    r = plan.source("r")
+    a = plan.select(s, Field("x") < 1, name="a")
+    b = plan.select(a, Field("x") < 2, name="b")
+    c = plan.select(a, Field("x") < 3, name="c")
+    j = plan.join(b, c, name="j")
+    plan.semi_join(j, r, name="sj")
+    a.inputs[0] = j
+    yield plan
+
+
+class TestLinearTopological:
+    @pytest.mark.parametrize("name,plan", list(_fuzz_and_tpch_plans()))
+    def test_order_matches_oracle(self, name, plan):
+        assert list(plan.topological()) == _oracle_topological(plan)
+        assert plan.structural_issues() == []
+
+    @pytest.mark.parametrize("plan", list(_cycle_plans()),
+                             ids=lambda p: p.name)
+    def test_cycle_message_matches_oracle(self, plan):
+        with pytest.raises(PlanError) as want:
+            _oracle_topological(plan)
+        with pytest.raises(PlanError) as got:
+            list(plan.topological())
+        assert str(got.value) == str(want.value)
+        cycles = [i.message for i in plan.structural_issues()
+                  if i.kind == "cycle"]
+        assert cycles == [str(want.value)]
+
+    def test_dangling_message_matches_oracle(self):
+        plan = Plan("p")
+        s = plan.source("t")
+        ghost = PlanNode(OpType.SOURCE, "ghost", [])
+        plan.nodes.append(PlanNode(OpType.JOIN, "j", [s, ghost]))
+        dangling = [i.message for i in plan.structural_issues()
+                    if i.kind == "dangling"]
+        assert dangling == _oracle_dangling(plan)
+        assert len(dangling) == 1
+
+
+def _frozen_diamond():
+    plan = Plan("frozen")
+    s = plan.source("t", fields=["x", "y"])
+    a = plan.select(s, Field("x") < 1, name="a")
+    plan.project(a, ["x"], name="b")
+    plan.join(a, a, on="x", name="self_join")
+    return plan.freeze()
+
+
+class TestFreeze:
+    def test_freeze_returns_self_and_is_idempotent(self):
+        plan = Plan()
+        plan.source("t")
+        assert plan.freeze() is plan
+        assert plan.frozen
+        assert plan.freeze() is plan
+
+    def test_freeze_validates(self):
+        plan = Plan()
+        s = plan.source("t")
+        plan.nodes.append(PlanNode(OpType.JOIN, "j", [s]))
+        with pytest.raises(PlanError, match="needs 2 inputs"):
+            plan.freeze()
+        assert not plan.frozen
+
+    @pytest.mark.parametrize("name,plan", list(_fuzz_and_tpch_plans()))
+    def test_graph_queries_match_unfrozen(self, name, plan):
+        order = list(plan.topological())
+        consumers = [plan.consumers(n) for n in plan.nodes]
+        sinks, sources = plan.sinks(), plan.sources()
+        plan.freeze()
+        assert list(plan.topological()) == order
+        assert [plan.consumers(n) for n in plan.nodes] == consumers
+        assert plan.sinks() == sinks
+        assert plan.sources() == sources
+        plan.validate()
+        assert plan.structural_issues() == []
+
+    def test_consumer_listed_once_per_input_pair(self):
+        plan = _frozen_diamond()
+        a = plan.nodes[1]
+        assert [n.name for n in plan.consumers(a)] == ["b", "self_join"]
+        # a node outside the plan has no consumers in it
+        assert plan.consumers(PlanNode(OpType.SOURCE, "t", [])) == []
+
+    def test_adding_a_node_raises(self):
+        plan = _frozen_diamond()
+        with pytest.raises(PlanError, match="frozen"):
+            plan.select(plan.nodes[0], Field("x") < 2)
+        with pytest.raises(PlanError, match="frozen"):
+            plan.source("u")
+        with pytest.raises(PlanError, match="frozen"):
+            plan.nodes.append(PlanNode(OpType.SOURCE, "u", []))
+        with pytest.raises(PlanError, match="frozen"):
+            plan.nodes += [PlanNode(OpType.SOURCE, "u", [])]
+        assert len(plan.nodes) == 4
+
+    def test_setting_a_node_attribute_raises(self):
+        plan = _frozen_diamond()
+        a = plan.nodes[1]
+        for attr, value in (("selectivity", 0.25), ("name", "renamed"),
+                            ("out_row_nbytes", 64), ("params", {})):
+            with pytest.raises(PlanError, match="frozen"):
+                setattr(a, attr, value)
+        assert a.selectivity == 0.5 and a.name == "a"
+        with pytest.raises(PlanError, match="frozen"):
+            plan.name = "other"
+
+    def test_writing_params_raises(self):
+        plan = _frozen_diamond()
+        src, a, b = plan.nodes[:3]
+        with pytest.raises(PlanError, match="frozen"):
+            a.params["predicate"] = Field("x") < 5
+        with pytest.raises(PlanError, match="frozen"):
+            a.params.update(predicate=None)
+        with pytest.raises(PlanError, match="frozen"):
+            del src.params["n_rows"]
+        # lists nested in params freeze too
+        with pytest.raises(PlanError, match="frozen"):
+            b.params["fields"].append("y")
+        with pytest.raises(PlanError, match="frozen"):
+            src.params["fields"][0] = "z"
+        with pytest.raises(PlanError, match="frozen"):
+            a.inputs[0] = b
+        assert b.params["fields"] == ["x"]
+
+    def test_frozen_containers_read_and_copy_as_plain(self):
+        plan = _frozen_diamond()
+        b = plan.nodes[2]
+        fields = b.params["fields"]
+        assert isinstance(fields, list) and repr(fields) == "['x']"
+        copied = dict(b.params)
+        copied["fields"] = list(fields) + ["y"]
+        assert b.params["fields"] == ["x"]
+
+    def test_memo_stores_only_on_frozen_plans(self):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return len(calls)
+
+        plan = Plan()
+        plan.source("t")
+        assert plan.memo("k", compute) == 1
+        assert plan.memo("k", compute) == 2      # unfrozen: recomputed
+        plan.freeze()
+        assert plan.memo("k", compute) == 3
+        assert plan.memo("k", compute) == 3      # frozen: a lookup
+
+    @pytest.mark.parametrize("seed", [None, *range(0, 60, 6)])
+    def test_optimize_plan_on_frozen_returns_unfrozen_equal_clone(self, seed):
+        from repro.plans import evaluate_sinks
+        from repro.plans.rewrite import optimize_plan
+        from repro.ra import Relation
+        if seed is None:
+            # a SELECT chain the rewrite reorders (most selective first)
+            plan = Plan("chain")
+            node = plan.source("main", row_nbytes=8)
+            for i, sel in enumerate((0.9, 0.2, 0.5)):
+                node = plan.select(node, Field("k") < int(sel * 50),
+                                   selectivity=sel, name=f"s{i}")
+            rng = np.random.default_rng(0)
+            sources = {"main": Relation(
+                {"k": rng.integers(0, 50, 2000).astype(np.int32)})}
+        else:
+            case = random_plan_case(seed)
+            plan, sources = case.plan, case.sources
+        want = list(evaluate_sinks(plan, sources).values())
+        frozen = plan.freeze()
+        opt = optimize_plan(frozen)
+        assert opt is not frozen and not opt.frozen
+        assert not set(map(id, opt.nodes)) & set(map(id, frozen.nodes))
+        got = list(evaluate_sinks(opt, sources).values())
+        assert len(got) == len(want)
+        assert all(g.same_tuples(w) for g, w in zip(got, want))
+        # the clone is editable; the frozen input is not
+        opt.nodes[-1].selectivity = 0.125
+        assert frozen.nodes[-1].selectivity != 0.125
+
+
+class TestFrozenFingerprint:
+    @pytest.mark.parametrize("name,plan", list(_fuzz_and_tpch_plans()))
+    def test_digest_matches_unfrozen_clone(self, name, plan):
+        from repro.optimizer.fingerprint import plan_fingerprint
+        from repro.plans.rewrite import _clone_plan
+        clone, _ = _clone_plan(plan)
+        want = plan_fingerprint(clone)
+        plan.freeze()
+        assert plan_fingerprint(plan) == want
+        assert plan_fingerprint(plan) is plan_fingerprint(plan)
+        assert not clone.frozen and plan_fingerprint(clone) == want

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.errors import PlanError
+from repro.optimizer.fingerprint import plan_fingerprint
+from repro.plans.rewrite import _clone_plan
 from repro.serve import (
     ArrivalProcess,
     DEFAULT_TENANTS,
@@ -39,6 +42,22 @@ class TestCatalog:
 
     def test_plan_is_cached(self):
         assert catalog_plan("q6") is catalog_plan("q6")
+
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_every_kind_is_frozen(self, kind):
+        plan = catalog_plan(kind)
+        assert plan.frozen
+        with pytest.raises(PlanError, match="frozen"):
+            plan.nodes[-1].selectivity = 0.5
+        with pytest.raises(PlanError, match="frozen"):
+            plan.source("extra")
+
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_fingerprint_matches_unfrozen_clone(self, kind):
+        plan = catalog_plan(kind)
+        clone, _ = _clone_plan(plan)
+        assert not clone.frozen
+        assert plan_fingerprint(plan) == plan_fingerprint(clone)
 
 
 class TestTenantSpec:
